@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,8 +33,7 @@ def _load_json(path):
 
 def _meta(args, **conventions) -> dict:
     meta = {"version": __version__,
-            "seed": getattr(args, "seed", 0),
-            "threads": os.environ.get("MODP_THREADS", "1")}
+            "seed": getattr(args, "seed", 0)}
     meta.update(conventions)
     return meta
 
@@ -61,12 +59,12 @@ def cmd_flat_norm(args) -> int:
     cx = SimplicialComplex.from_json(_load_json(args.complex))
     T = IntegerChain.from_json(cx, _load_json(args.chain))
     region = _region_from_json(_load_json(args.region)) if args.region else None
-    dec = flat_norm_modp(T, args.p, region, engine=args.engine)
-    payload = {"value": dec.value, "gap": 0.0, "nodes": dec.nodes,
+    dec = flat_norm_modp(T, args.p, region)
+    payload = {"value": dec.value, "gap": dec.optimality_gap, "nodes": dec.nodes,
                "witness": {"R": dec.R.to_json(),
                            "Z": dec.Z.to_json() if dec.Z is not None else None,
                            "P": dec.P.to_json()},
-               "meta": _meta(args, engine=args.engine)}
+               "meta": _meta(args)}
     if args.oracle:
         payload["oracle_value"] = brute_force_flat_oracle(T, args.p, args.bound, region)
     _emit(payload, args.out)
@@ -281,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default=None)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--engine", default="auto", choices=["auto", "bb", "milp"])
 
     p = add("plateau", cmd_plateau)
     p.add_argument("--complex", required=True)

@@ -361,27 +361,57 @@ def tree_multiplicities(edges, n_nodes, terminal_mult, p):
     return kappa
 
 
-def _geodesic_ode_rhs(pos, tau, metric):
-    w = float(metric.w(pos[None])[0])
-    gw = metric.grad_w(pos[None])[0]
-    dtau = (gw - float(gw @ tau) * tau) / w
-    return tau, dtau
+def _scalar_weight(metric):
+    """(x, y) -> (w, dw/dx, dw/dy) as Python floats, for the RK4 loop.
+
+    Uses the metric's own ``w_and_grad`` when it has one; any other weight
+    object is evaluated through its array ``w`` and ``grad_w``.
+    """
+    fn = getattr(metric, "w_and_grad", None)
+    if fn is not None:
+        return fn
+
+    def w_and_grad(x, y):
+        pt = np.array([[x, y]])
+        g = metric.grad_w(pt)[0]
+        return float(metric.w(pt)[0]), float(g[0]), float(g[1])
+
+    return w_and_grad
 
 
 def _rk4_shoot(start, theta, length, metric, steps):
-    pos = np.asarray(start, dtype=float).copy()
-    tau = np.array([math.cos(theta), math.sin(theta)])
+    """RK4 for pos' = tau, tau' = (grad w - (grad w . tau) tau) / w, with tau
+    renormalized after every step; returns the (steps + 1, 2) polyline."""
+    wg = _scalar_weight(metric)
+    x, y = float(start[0]), float(start[1])
+    tx, ty = math.cos(theta), math.sin(theta)
     h = length / steps
-    pts = [pos.copy()]
+    hh = 0.5 * h
+    h6 = h / 6
+    pts = [(x, y)]
     for _ in range(steps):
-        k1p, k1t = _geodesic_ode_rhs(pos, tau, metric)
-        k2p, k2t = _geodesic_ode_rhs(pos + 0.5 * h * k1p, tau + 0.5 * h * k1t, metric)
-        k3p, k3t = _geodesic_ode_rhs(pos + 0.5 * h * k2p, tau + 0.5 * h * k2t, metric)
-        k4p, k4t = _geodesic_ode_rhs(pos + h * k3p, tau + h * k3t, metric)
-        pos = pos + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        tau = tau + (h / 6) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        tau = tau / np.linalg.norm(tau)
-        pts.append(pos.copy())
+        w, gx, gy = wg(x, y)
+        d = gx * tx + gy * ty
+        k1x, k1y = (gx - d * tx) / w, (gy - d * ty) / w
+        t2x, t2y = tx + hh * k1x, ty + hh * k1y
+        w, gx, gy = wg(x + hh * tx, y + hh * ty)
+        d = gx * t2x + gy * t2y
+        k2x, k2y = (gx - d * t2x) / w, (gy - d * t2y) / w
+        t3x, t3y = tx + hh * k2x, ty + hh * k2y
+        w, gx, gy = wg(x + hh * t2x, y + hh * t2y)
+        d = gx * t3x + gy * t3y
+        k3x, k3y = (gx - d * t3x) / w, (gy - d * t3y) / w
+        t4x, t4y = tx + h * k3x, ty + h * k3y
+        w, gx, gy = wg(x + h * t3x, y + h * t3y)
+        d = gx * t4x + gy * t4y
+        k4x, k4y = (gx - d * t4x) / w, (gy - d * t4y) / w
+        x = x + h6 * (tx + 2 * t2x + 2 * t3x + t4x)
+        y = y + h6 * (ty + 2 * t2y + 2 * t3y + t4y)
+        tx = tx + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        ty = ty + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        n = math.sqrt(tx * tx + ty * ty)
+        tx, ty = tx / n, ty / n
+        pts.append((x, y))
     return np.array(pts)
 
 
@@ -415,74 +445,50 @@ class _TopologyProblem:
         self.curved = metric.name != "euclidean"
         self.k_int = k_interior if self.curved else 0
         self.live = [i for i, k in enumerate(kappa) if k != 0]
+        self.heads = np.array([edges[i][0] for i in self.live], dtype=int)
+        self.tails = np.array([edges[i][1] for i in self.live], dtype=int)
+        self.weights = np.array([abs(kappa[i]) for i in self.live], dtype=float)
 
     # variable layout: junction coords then per-live-edge interior points
-    def _unpack(self, x):
+    def polylines(self, x):
+        """Node array and the live arcs' polylines, stacked (n_live, k_int + 2, 2)."""
         juncs = x[: 2 * self.n_junc].reshape(self.n_junc, 2)
-        nodes = np.vstack([self.terminals, juncs]) if self.n_junc else self.terminals
-        interiors = {}
-        off = 2 * self.n_junc
-        for idx in self.live:
-            if self.k_int:
-                interiors[idx] = x[off: off + 2 * self.k_int].reshape(self.k_int, 2)
-                off += 2 * self.k_int
-        return nodes, interiors
-
-    def _polylines(self, nodes, interiors):
-        polys = {}
-        for idx in self.live:
-            a, b = self.edges[idx]
-            if self.k_int:
-                polys[idx] = np.vstack([nodes[a], interiors[idx], nodes[b]])
-            else:
-                polys[idx] = np.vstack([nodes[a], nodes[b]])
-        return polys
+        nodes = np.vstack([self.terminals, juncs])
+        polys = np.empty((len(self.live), self.k_int + 2, 2))
+        polys[:, 0] = nodes[self.heads]
+        polys[:, 1:-1] = x[2 * self.n_junc:].reshape(len(self.live), self.k_int, 2)
+        polys[:, -1] = nodes[self.tails]
+        return nodes, polys
 
     def objective_and_grad(self, x):
-        nodes, interiors = self._unpack(x)
-        polys = self._polylines(nodes, interiors)
-        total = 0.0
+        _, polys = self.polylines(x)
+        seg = np.diff(polys, axis=1)
+        lens = np.maximum(np.linalg.norm(seg, axis=2), 1e-300)
+        mids = 0.5 * (polys[:, :-1] + polys[:, 1:])
+        flat = mids.reshape(-1, 2)
+        w = self.metric.w(flat).reshape(lens.shape)
+        gw = self.metric.grad_w(flat).reshape(seg.shape)
+        total = float(self.weights @ np.sum(w * lens, axis=1))
+        k = self.weights[:, None, None]
+        units = seg / lens[..., None]
+        # contribution of segment s to endpoints s and s+1
+        half = 0.5 * gw * lens[..., None]
+        wu = w[..., None] * units
+        gpoly = np.zeros_like(polys)
+        gpoly[:, :-1] += k * (half - wu)
+        gpoly[:, 1:] += k * (half + wu)
         grad_nodes = np.zeros((self.n_nodes, 2))
-        grad_int = {idx: np.zeros((self.k_int, 2)) for idx in self.live if self.k_int}
-        for idx in self.live:
-            k = abs(self.kappa[idx])
-            poly = polys[idx]
-            seg = np.diff(poly, axis=0)
-            lens = np.linalg.norm(seg, axis=1)
-            lens = np.maximum(lens, 1e-300)
-            mids = 0.5 * (poly[:-1] + poly[1:])
-            w = self.metric.w(mids)
-            gw = self.metric.grad_w(mids)
-            total += k * float(w @ lens)
-            units = seg / lens[:, None]
-            # contribution of segment s to endpoints s and s+1
-            g_lo = k * (0.5 * gw * lens[:, None] - w[:, None] * units)
-            g_hi = k * (0.5 * gw * lens[:, None] + w[:, None] * units)
-            gpoly = np.zeros_like(poly)
-            gpoly[:-1] += g_lo
-            gpoly[1:] += g_hi
-            a, b = self.edges[idx]
-            grad_nodes[a] += gpoly[0]
-            grad_nodes[b] += gpoly[-1]
-            if self.k_int:
-                grad_int[idx] += gpoly[1:-1]
-        parts = [grad_nodes[self.n_term:].ravel()]
-        for idx in self.live:
-            if self.k_int:
-                parts.append(grad_int[idx].ravel())
-        return total, np.concatenate(parts) if parts else np.zeros(0)
+        np.add.at(grad_nodes, self.heads, gpoly[:, 0])
+        np.add.at(grad_nodes, self.tails, gpoly[:, -1])
+        return total, np.concatenate([grad_nodes[self.n_term:].ravel(),
+                                      gpoly[:, 1:-1].ravel()])
 
     def initial_vector(self, junc_init):
-        parts = [np.asarray(junc_init, dtype=float).ravel()]
-        nodes = np.vstack([self.terminals, np.asarray(junc_init).reshape(-1, 2)]) \
-            if self.n_junc else self.terminals
-        for idx in self.live:
-            if self.k_int:
-                a, b = self.edges[idx]
-                t = np.linspace(0, 1, self.k_int + 2)[1:-1]
-                pts = nodes[a][None, :] * (1 - t[:, None]) + nodes[b][None, :] * t[:, None]
-                parts.append(pts.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        junc = np.asarray(junc_init, dtype=float).reshape(-1, 2)
+        nodes = np.vstack([self.terminals, junc])
+        t = np.linspace(0, 1, self.k_int + 2)[1:-1, None]
+        pts = nodes[self.heads][:, None] * (1 - t) + nodes[self.tails][:, None] * t
+        return np.concatenate([junc.ravel(), pts.ravel()])
 
     def bounds(self, nvar):
         if getattr(self.metric, "min_x", None) is None:
@@ -494,63 +500,11 @@ class _TopologyProblem:
     def solve(self, junc_init):
         x0 = self.initial_vector(junc_init)
         if len(x0) == 0:
-            nodes, interiors = self._unpack(x0)
-            return 0.0 if not self.live else self.objective_and_grad(x0)[0], x0
+            return self.objective_and_grad(x0)[0], x0
         res = minimize(self.objective_and_grad, x0, jac=True, method="L-BFGS-B",
                        bounds=self.bounds(len(x0)),
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
         return float(res.fun), res.x
-
-    def junction_newton(self, x):
-        """Damped Newton polish on junction coordinates only."""
-        if self.n_junc == 0:
-            return x
-        for _ in range(200):
-            val, grad = self.objective_and_grad(x)
-            gj = grad[: 2 * self.n_junc]
-            if np.linalg.norm(gj) < 1e-10:
-                break
-
-            def g_of(jv):
-                xx = x.copy()
-                xx[: 2 * self.n_junc] = jv
-                # re-relax interiors for curved metrics
-                if self.k_int:
-                    r = minimize(self.objective_and_grad, xx, jac=True,
-                                 method="L-BFGS-B", bounds=self.bounds(len(xx)),
-                                 options={"maxiter": 500, "ftol": 1e-16,
-                                          "gtol": 1e-13})
-                    xx = r.x
-                return self.objective_and_grad(xx)[1][: 2 * self.n_junc], xx
-
-            g0, x = g_of(x[: 2 * self.n_junc])
-            if np.linalg.norm(g0) < 1e-10:
-                break
-            nj = 2 * self.n_junc
-            H = np.zeros((nj, nj))
-            eps = 1e-7
-            for col in range(nj):
-                jv = x[:nj].copy()
-                jv[col] += eps
-                gp, _ = g_of(jv)
-                H[:, col] = (gp - g0) / eps
-            try:
-                step = np.linalg.solve(0.5 * (H + H.T), -g0)
-            except np.linalg.LinAlgError:
-                step = -g0
-            t = 1.0
-            f0 = self.objective_and_grad(x)[0]
-            for _ in range(30):
-                jv = x[:nj] + t * step
-                gt, xt = g_of(jv)
-                if self.objective_and_grad(xt)[0] < f0 + 1e-18 or \
-                        np.linalg.norm(gt) < np.linalg.norm(g0):
-                    x = xt
-                    break
-                t *= 0.5
-            else:
-                break
-        return x
 
 
 def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
@@ -560,9 +514,10 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     terminals: sequence of ((x, y), multiplicity).  Enumerates spanning
     trees on the terminals and full Steiner topologies (junction degree 3),
     derives the forced mod-p arc multiplicities per topology, optimizes the
-    free junction positions (L-BFGS init + damped Newton polish, three
-    seeded restarts), and returns the global minimum with deterministic
-    tie-breaking.
+    free junction positions and arc interiors by L-BFGS from three seeded
+    starts, and returns the global minimum with deterministic tie-breaking.
+    Under a conformal weight the arcs of the winner are then replaced by
+    shot geodesics and its junctions re-balanced (``shoot_polish``).
     """
     pts = np.array([t[0] for t in terminals], dtype=float)
     mult = [int(t[1]) for t in terminals]
@@ -603,8 +558,6 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
                 init[0::2] = np.maximum(init[0::2], 2 * metric.min_x)
             try:
                 val, x = prob.solve(init.reshape(njunc, 2) if njunc else init)
-                x = prob.junction_newton(x)
-                val = prob.objective_and_grad(x)[0] if len(x) else val
             except (ValueError, FloatingPointError):
                 continue
             if local_best is None or val < local_best[0] - 1e-15:
@@ -619,8 +572,8 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
         raise RuntimeError("all topologies failed to optimize")
 
     _, edges, kappa, prob, x = best
-    nodes, interiors = prob._unpack(x)
-    polys = prob._polylines(nodes, interiors)
+    nodes, stacked = prob.polylines(x)
+    polys = dict(zip(prob.live, stacked))
 
     if prob.curved and shoot_polish:
         nodes, polys = _shooting_polish(prob, nodes, polys)

@@ -1,8 +1,9 @@
 """Flat norms mod p and discrete Plateau problems as integer linear programs.
 
-The flat norm solver is a deterministic best-first branch-and-bound over LP
-relaxations (scipy linprog); the Plateau solver hands the mixed-integer
-program to HiGHS, which scales to mesh-sized instances.
+Both problems are handed to HiGHS (scipy ``milp``) as mixed-integer programs,
+which scales to mesh-sized instances; point-boundary Plateau problems use an
+exact Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
+exhaustive reference for small complexes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse as sp_sparse
-from scipy.optimize import LinearConstraint, linprog, milp
+from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds as OptBounds
 
 from .complexes import (
@@ -38,8 +39,6 @@ __all__ = [
     "restrict_to_region",
     "mass_in_region",
 ]
-
-INTEGRALITY_TOL = 1e-6
 
 Region = Optional[dict]
 
@@ -71,6 +70,7 @@ class FlatDecomposition:
     value: float
     region: Region
     nodes: int = 0
+    optimality_gap: float = 0.0
 
 
 @dataclass
@@ -94,16 +94,29 @@ def _exact_value(T, z_chain, pi_chain, p, W):
     return val, R
 
 
+def _mip_gap(res) -> float:
+    """Relative gap a HiGHS ``milp`` result leaves open.
+
+    A proven optimum reports 0, or the little HiGHS's absolute stopping gap
+    of 1e-6 allows.  A solve stopped early, at its time limit, reports the
+    gap HiGHS gives, or inf when that gap is missing or not positive: an
+    unproven incumbent never reads as optimal.
+    """
+    gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
+    if res.status == 0:
+        return max(gap, 0.0)
+    return gap if gap > 0 else math.inf
+
+
 def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
-                   node_cap: int = 200_000, engine: str = "auto",
                    time_limit: float = 120.0) -> FlatDecomposition:
     """Minimize mass(R)+mass(Z) over W subject to T = R + boundary(Z) + p*P.
 
     Z ranges over integer (k+1)-chains, P over integer k-chains; R is
-    eliminated.  The default engine is a best-first branch-and-bound on the
-    LP relaxation with deterministic node ordering (lowest variable index
-    branched first); ``engine="milp"`` hands the same formulation to HiGHS,
-    which is preferable beyond a few hundred integer variables.
+    eliminated.  The mixed-integer program is solved by HiGHS with a zero
+    relative gap.  If the time limit stops it with an incumbent, that
+    incumbent is returned with the unclosed gap in ``optimality_gap``; with
+    no incumbent a ``RuntimeError`` is raised.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -172,82 +185,25 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     hi0 = np.concatenate([np.full(nz, bz), np.full(npi, bpi),
                           np.full(len(wz) + len(wr), np.inf)])
 
-    if engine == "milp" or (engine == "auto" and nz + npi > 80):
-        integrality = np.concatenate([np.ones(nz + npi), np.zeros(len(wz) + len(wr))])
-        res = milp(c_obj, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
-                   integrality=integrality, bounds=OptBounds(lo0, hi0),
-                   options={"time_limit": float(time_limit)})
-        if res.x is None:
-            raise RuntimeError(f"flat norm MILP failed: {res.message}")
-        x = res.x
-        zc = (IntegerChain(cx, k + 1, {i: int(round(x[i])) for i in range(nz)})
-              if has_z else None)
-        pic = IntegerChain(cx, k, {i: int(round(x[nz + i])) for i in range(npi)})
-        val, R = _exact_value(T, zc, pic, p, W)
-        nn = int(res.mip_node_count) if res.mip_node_count is not None else 0
-        return FlatDecomposition(R, zc, pic, val, W, nodes=nn)
-
-    def solve_lp(lo, hi):
-        res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub,
-                      bounds=list(zip(lo, hi)), method="highs")
-        return res
-
-    best_val = math.inf
-    best_witness = None
-    counter = itertools.count()
-    root = solve_lp(lo0, hi0)
-    if not root.success:
-        raise RuntimeError("root LP failed: " + root.message)
-    heap = [(root.fun, next(counter), lo0, hi0, root.x)]
-    nodes = 0
-
-    while heap:
-        bound, _, lo, hi, x = heapq.heappop(heap)
-        if bound >= best_val - 1e-9:
-            continue
-        nodes += 1
-        if nodes > node_cap:
-            raise RuntimeError(
-                f"node cap {node_cap} exceeded: best bound {bound:.12g}, "
-                f"incumbent {best_val:.12g}")
-        frac_idx = -1
-        for i in range(nint):
-            if abs(x[i] - round(x[i])) > INTEGRALITY_TOL:
-                frac_idx = i
-                break
-        if frac_idx < 0:
-            zc = (IntegerChain(cx, k + 1,
-                               {i: int(round(x[i])) for i in range(nz)})
-                  if has_z else None)
-            pic = IntegerChain(cx, k, {i: int(round(x[nz + i])) for i in range(npi)})
-            val, R = _exact_value(T, zc, pic, p, W)
-            if val < best_val - 1e-12:
-                best_val = val
-                best_witness = (R, zc, pic)
-            continue
-        f = x[frac_idx]
-        lo_child = lo.copy()
-        hi_child = hi.copy()
-        hi_child[frac_idx] = math.floor(f)
-        res = solve_lp(lo, hi_child)
-        if res.success and res.fun < best_val - 1e-9:
-            heapq.heappush(heap, (res.fun, next(counter), lo.copy(), hi_child, res.x))
-        lo_child[frac_idx] = math.ceil(f)
-        res = solve_lp(lo_child, hi.copy())
-        if res.success and res.fun < best_val - 1e-9:
-            heapq.heappush(heap, (res.fun, next(counter), lo_child, hi.copy(), res.x))
-
-    if best_witness is None:
-        raise RuntimeError("branch-and-bound found no integer solution")
-    R, zc, pic = best_witness
-    return FlatDecomposition(R, zc, pic, best_val, W, nodes=nodes)
+    integrality = np.concatenate([np.ones(nz + npi), np.zeros(len(wz) + len(wr))])
+    res = milp(c_obj, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
+               integrality=integrality, bounds=OptBounds(lo0, hi0),
+               options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
+    if res.x is None:
+        raise RuntimeError(f"flat norm MILP failed: {res.message}")
+    x = res.x
+    zc = (IntegerChain(cx, k + 1, {i: int(round(x[i])) for i in range(nz)})
+          if has_z else None)
+    pic = IntegerChain(cx, k, {i: int(round(x[nz + i])) for i in range(npi)})
+    val, R = _exact_value(T, zc, pic, p, W)
+    nn = int(res.mip_node_count) if res.mip_node_count is not None else 0
+    return FlatDecomposition(R, zc, pic, val, W, nodes=nn, optimality_gap=_mip_gap(res))
 
 
-def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None,
-                       engine: str = "auto") -> float:
+def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None) -> float:
     if T.complex is not S.complex:
         raise ValueError("chains live on different complexes")
-    return flat_norm_modp(T - S, p, W, engine=engine).value
+    return flat_norm_modp(T - S, p, W).value
 
 
 def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
@@ -386,24 +342,22 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0,
     hi = np.concatenate([np.full(2 * n, float(half)), y_bound])
     integrality = np.ones(2 * n + nb)
 
-    options = {"time_limit": float(time_limit)}
-    if mip_rel_gap > 0:
-        options["mip_rel_gap"] = float(mip_rel_gap)
     res = milp(c_obj, constraints=constraint, integrality=integrality,
-               bounds=OptBounds(lo, hi), options=options)
+               bounds=OptBounds(lo, hi),
+               options={"time_limit": float(time_limit),
+                        "mip_rel_gap": float(mip_rel_gap)})
     if res.status == 2 or (res.x is None and res.status != 0):
         raise ValueError("does not bound mod p" if res.status == 2
                          else f"solver failed: {res.message}")
 
     x = np.round(res.x[:n] - res.x[n:2 * n]).astype(int)
     chain = reduce_modp(IntegerChain(cx, k, {i: int(x[i]) for i in range(n)}), p).representative
-    gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
     nodes = int(res.mip_node_count) if res.mip_node_count is not None else 0
 
     diff = boundary(chain) - b.representative
     if any(c % p != 0 for c in diff.coeffs.values()):
         raise RuntimeError("solver returned a chain that does not bound the class")
-    return PlateauSolution(chain, mass(chain), b, max(gap, 0.0), nodes=nodes)
+    return PlateauSolution(chain, mass(chain), b, _mip_gap(res), nodes=nodes)
 
 
 def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = None) -> float:

@@ -55,6 +55,14 @@ class WeightedMetric:
             g[:, 0] = 0.5 / np.sqrt(x)
         return g
 
+    def w_and_grad(self, x: float, y: float) -> tuple:
+        """w and grad w at one point as Python floats, clamped as ``w``."""
+        x = max(x, self.min_x)
+        if self.name == "x":
+            return x, 1.0, 0.0
+        r = math.sqrt(x)
+        return r, 0.5 / r, 0.0
+
 
 def geodesic_shoot(start, direction, length: float, metric: WeightedMetric,
                    steps: int = 2048):
@@ -251,7 +259,7 @@ def _nearest_circle(R: RevolvedCurrent, q, tol: float = None) -> dict:
 
 
 def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
-               grid_n: int = 32, flat_engine: str = "milp") -> list:
+               grid_n: int = 32) -> list:
     """Excess (and optionally flat-distance) ladder at a singular point.
 
     For each radius r the excess of the revolved sample against the tangent
@@ -268,7 +276,7 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
     r0 = radii[0]
     e0 = excess(R.sample, book, q, r0)
     c_excess = e0 / math.sqrt(r0) if r0 > 0 else 0.0
-    flats = _flat_ladder(R, circle, radii, grid_n, flat_engine) if with_flat \
+    flats = _flat_ladder(R, circle, radii, grid_n) if with_flat \
         else [None] * len(radii)
     f0 = flats[0] if with_flat else None
     c_flat = (f0 / r0 ** 0.25) if with_flat and f0 is not None else None
@@ -283,7 +291,7 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
     return rows
 
 
-def _flat_ladder(R: RevolvedCurrent, circle, radii, grid_n, engine):
+def _flat_ladder(R: RevolvedCurrent, circle, radii, grid_n):
     from .fixtures import grid_square_complex, rasterize_polyline
 
     cx, spacing = grid_square_complex(grid_n)
@@ -312,7 +320,7 @@ def _flat_ladder(R: RevolvedCurrent, circle, radii, grid_n, engine):
 
         T = IntegerChain(cx, 1, coeffs_T)
         S = IntegerChain(cx, 1, coeffs_S)
-        dec = flat_norm_modp(T - S, R.p, ball, engine=engine)
+        dec = flat_norm_modp(T - S, R.p, ball)
         out.append(dec.value)
     return out
 

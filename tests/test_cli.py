@@ -144,3 +144,15 @@ def test_taylor_command_round_trips(tmp_path):
     assert scan.returncode == 0
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    args = ["flat-norm", "--complex", "triangle-complex.json",
+            "--chain", "triangle-boundary.json", "--p", "3"]
+    res = run(args, tmp_path)
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert 0.0 <= out["gap"] <= 1e-9
+    assert "threads" not in out["meta"]
+    assert run(args + ["--engine", "milp"], tmp_path).returncode == 2

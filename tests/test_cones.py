@@ -119,6 +119,21 @@ def test_solve_network_equilateral():
     assert max(net.balance_residuals.values()) < 1e-9
 
 
+def test_solve_network_matches_fermat_point_on_random_triangles():
+    # guards the L-BFGS-only junction optimization (no Newton polish)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        th = np.sort(rng.uniform(0, 2 * math.pi, 3))
+        rad = rng.uniform(0.5, 1.5, 3)
+        pts = np.c_[rad * np.cos(th), rad * np.sin(th)]
+        net = modp.solve_network([(tuple(q), 1) for q in pts], 3)
+        # the grid's cell must sit well below the 1e-6 tolerance: where the
+        # Fermat point is a terminal the objective grows linearly off it
+        _, fermat_mass = modp.fermat_point_grid(pts, np.ones(3), grid=1e-8)
+        assert net.mass == pytest.approx(fermat_mass, abs=1e-6)
+        assert all(r < 1e-6 for r in net.balance_residuals.values())
+
+
 def test_collinear_terminals_have_no_junction():
     net = modp.solve_network([((0.0, 0.0), 1), ((1.0, 0.0), 1), ((2.0, 0.0), 1)], 3)
     assert net.junctions == []

@@ -127,3 +127,31 @@ def test_plateau_infeasible_residue_raises():
     b = modp.reduce_modp(modp.IntegerChain(cx, 0, {t0: 1}), 3)
     with pytest.raises(ValueError, match="does not bound"):
         modp.plateau_modp(b, 3)
+
+
+def test_flat_norm_matches_brute_oracle_on_random_strips():
+    # guards the single HiGHS flat-norm path against the exhaustive oracle
+    cx = fixtures.strip_complex(4)
+    rng = np.random.default_rng(2040)
+    for i in range(40):
+        p = (2, 3, 5)[i % 3]
+        t = random_chain(rng, cx, 1, lo=-2, hi=2)
+        dec = modp.flat_norm_modp(t, p)
+        assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3), abs=1e-8)
+        assert 0.0 <= dec.optimality_gap < 1e-6  # HiGHS stops at an absolute gap of 1e-6
+
+
+def test_time_limited_flat_norm_never_claims_an_unproven_value():
+    cx = fixtures.strip_complex(16)
+    rng = np.random.default_rng(3)
+    t = random_chain(rng, cx, 1, lo=-2, hi=2)
+    exact = modp.flat_norm_modp(t, 3)
+    assert exact.optimality_gap < 1e-6
+    with pytest.raises(RuntimeError, match="MILP failed"):
+        modp.flat_norm_modp(t, 3, time_limit=0.0)  # stopped before any incumbent
+    try:
+        dec = modp.flat_norm_modp(t, 3, time_limit=0.05)
+    except RuntimeError:
+        return
+    # an incumbent cut off by the time limit carries its open gap
+    assert dec.optimality_gap > 1e-9 or dec.value == pytest.approx(exact.value, abs=1e-9)

@@ -167,11 +167,11 @@ class VarifoldSample:
 
     def to_json(self) -> dict:
         out = {"m": self.m,
-               "points": [list(map(float, q)) for q in self.points],
-               "weights": list(map(float, self.weights)),
+               "points": self.points.tolist(),
+               "weights": self.weights.tolist(),
                "delta": self.delta}
         if self.tangents is not None:
-            out["tangents"] = [[list(map(float, v)) for v in fr] for fr in self.tangents]
+            out["tangents"] = np.asarray(self.tangents, dtype=float).tolist()
         return out
 
     @classmethod

@@ -175,12 +175,17 @@ def cmd_whitney(args) -> int:
         c = R.singular_circles[0]
         q0 = np.array([c["x"], 0.0, c["y"]])
         book = tangent_book_at(R, q0)
+        # (y, radius) is fixed by the column (k, j): whitney_domain and the
+        # CSV rows below share one evaluation per column
+        column_excess: dict = {}
 
         def oracle(y, radius):
-            # wrap the spine coordinate around the singular circle
-            ang = y[0] / c["x"]
-            q = np.array([c["x"] * math.cos(ang), c["x"] * math.sin(ang), c["y"]])
-            return excess(R.sample, book, q, radius)
+            if (y, radius) not in column_excess:
+                # wrap the spine coordinate around the singular circle
+                ang = y[0] / c["x"]
+                q = np.array([c["x"] * math.cos(ang), c["x"] * math.sin(ang), c["y"]])
+                column_excess[(y, radius)] = excess(R.sample, book, q, radius)
+            return column_excess[(y, radius)]
     else:
         def oracle(y, radius):
             return 0.0

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "SimplicialComplex",
@@ -47,6 +46,8 @@ class SimplicialComplex:
     """
 
     def __init__(self, vertices, simplices):
+        from scipy import sparse
+
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or not 1 <= self.vertices.shape[1] <= 4:
             raise ValueError("vertices must be an (n, d) array with 1 <= d <= 4")

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize, root
 
 from .complexes import representative_modp
 
@@ -417,6 +416,7 @@ def _rk4_shoot(start, theta, length, metric, steps):
 
 def _shoot_bvp(a, b, metric, theta0, length0, steps=512):
     """Geodesic from a to b by shooting; returns (polyline, theta, length)."""
+    from scipy.optimize import root
 
     def miss(x):
         theta, length = x
@@ -498,6 +498,8 @@ class _TopologyProblem:
         return list(zip(lo, np.full(nvar, np.inf)))
 
     def solve(self, junc_init):
+        from scipy.optimize import minimize
+
         x0 = self.initial_vector(junc_init)
         if len(x0) == 0:
             return self.objective_and_grad(x0)[0], x0

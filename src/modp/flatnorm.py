@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse as sp_sparse
-from scipy.optimize import LinearConstraint, milp
-from scipy.optimize import Bounds as OptBounds
 
 from .complexes import (
     IntegerChain,
@@ -118,6 +115,10 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     incumbent is returned with the unclosed gap in ``optimality_gap``; with
     no incumbent a ``RuntimeError`` is raised.
     """
+    from scipy import sparse as sp_sparse
+    from scipy.optimize import Bounds as OptBounds
+    from scipy.optimize import LinearConstraint, milp
+
     if p < 2:
         raise ValueError("p must be >= 2")
     cx = T.complex
@@ -323,6 +324,10 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0,
     if engine == "dp" or (engine == "auto" and b.degree == 0
                           and len(b.representative.coeffs) <= 8):
         return _plateau_steiner_dp(b, p)
+
+    from scipy import sparse as sp_sparse
+    from scipy.optimize import Bounds as OptBounds
+    from scipy.optimize import LinearConstraint, milp
 
     n = cx.n_simplices(k)
     nb = cx.n_simplices(k - 1)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .books import VarifoldSample, density_ratio
 
@@ -132,6 +131,8 @@ def cone_comparison_check(T: VarifoldSample, C: VarifoldSample,
     with F(t) = -int_t^R1 f'(s) s^m ds; the right side vanishes for
     minimizer fixtures with H_T = 0.
     """
+    from scipy.integrate import quad
+
     m = T.m
 
     def F(t):

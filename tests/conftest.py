@@ -16,8 +16,8 @@ from modp import fixtures
 SRC_DIR = str(Path(modp.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
-    """Run ``python -m modp.cli`` with ``args`` in ``cwd``.
+def run_python(args, cwd):
+    """Run a fresh ``python`` with ``args`` in ``cwd``.
 
     The child process imports the same ``modp`` as the test process: the
     absolute source directory goes first on its ``PYTHONPATH``, ahead of any
@@ -27,8 +27,13 @@ def run_cli(args, cwd):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC_DIR + (os.pathsep + inherited if inherited else ""))
-    return subprocess.run([sys.executable, "-m", "modp.cli", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    """Run ``python -m modp.cli`` with ``args`` in ``cwd`` (see ``run_python``)."""
+    return run_python(["-m", "modp.cli", *args], cwd)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Open books, excess, coherence, retraction, and cone samples."""
 
+import json
 import math
 
 import numpy as np
@@ -115,3 +116,22 @@ def test_varifold_sample_json_round_trip():
     np.testing.assert_allclose(back.weights, s.weights)
     assert back.m == s.m
     np.testing.assert_allclose(back.tangents, s.tangents)
+
+
+def test_varifold_sample_json_is_exact_python_floats():
+    s = fixtures.tilted_plane_sample(0.1, delta=0.05)
+    data = s.to_json()
+    values = ([v for q in data["points"] for v in q] + data["weights"]
+              + [v for fr in data["tangents"] for row in fr for v in row])
+    assert all(type(v) is float for v in values)
+    # same JSON text as converting one float at a time
+    reference = {"m": s.m,
+                 "points": [list(map(float, q)) for q in s.points],
+                 "weights": list(map(float, s.weights)),
+                 "delta": s.delta,
+                 "tangents": [[list(map(float, v)) for v in fr] for fr in s.tangents]}
+    assert json.dumps(data) == json.dumps(reference)
+    back = modp.VarifoldSample.from_json(json.loads(json.dumps(data)))
+    np.testing.assert_array_equal(back.points, s.points)
+    np.testing.assert_array_equal(back.weights, s.weights)
+    np.testing.assert_array_equal(back.tangents, s.tangents)

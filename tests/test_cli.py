@@ -1,10 +1,12 @@
 """Command line round trips, exit codes, and determinism."""
 
+import csv
 import json
 import math
 
 import pytest
 
+from conftest import SRC_DIR, run_python
 from conftest import run_cli as run
 
 
@@ -156,3 +158,50 @@ def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):
     assert 0.0 <= out["gap"] <= 1e-9
     assert "threads" not in out["meta"]
     assert run(args + ["--engine", "milp"], tmp_path).returncode == 2
+
+
+def test_import_loads_no_scipy_solver(tmp_path):
+    # scipy.optimize and scipy.integrate load with the first solver call that
+    # needs them, so neither import nor a non-solver command pays for them
+    code = """
+import json, sys
+def solvers():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"]))
+import modp
+after_modp = solvers()
+import modp.cli
+print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers()}))
+"""
+    res = run_python(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["file"].startswith(SRC_DIR)
+    assert out["modp"] == []
+    assert out["cli"] == []
+
+
+def test_whitney_excess_from_surface(tmp_path):
+    assert run(["taylor", "--p", "3", "--angles=-40,0,40", "--delta", "0.04",
+                "--out", "surface.json"], tmp_path).returncode == 0
+    tau = 0.5
+    res = run(["whitney", "--m", "2", "--M", "1", "--depth", "2",
+               "--tau", str(tau), "--excess-from", "surface.json",
+               "--csv", "cubes.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "cubes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = {}
+    for row in rows:
+        columns.setdefault((row["layer"], row["j0"]), []).append(row)
+    assert len(rows) == 2 * len(columns)  # 2^M rows per column
+    members = 0
+    for col in columns.values():
+        # membership and excess are properties of the column, not the row
+        assert len({r["excess"] for r in col}) == 1
+        assert len({r["member"] for r in col}) == 1
+        if col[0]["member"] == "1":
+            members += len(col)
+            assert float(col[0]["excess"]) < tau * tau
+    assert 0 < members < len(rows)
+    assert json.loads(res.stdout)["member_cubes"] == members

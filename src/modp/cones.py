@@ -510,7 +510,7 @@ class _TopologyProblem:
 
 
 def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
-                  k_interior: int = 48, shoot_polish: bool = True) -> WeightedNetwork:
+                  k_interior: int = 48) -> WeightedNetwork:
     """Minimal-mass branched 1-current mod p spanning the given terminals.
 
     terminals: sequence of ((x, y), multiplicity).  Enumerates spanning
@@ -518,8 +518,8 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     derives the forced mod-p arc multiplicities per topology, optimizes the
     free junction positions and arc interiors by L-BFGS from three seeded
     starts, and returns the global minimum with deterministic tie-breaking.
-    Under a conformal weight the arcs of the winner are then replaced by
-    shot geodesics and its junctions re-balanced (``shoot_polish``).
+    Under a conformal weight the arcs of the winner are then always
+    replaced by shot geodesics and its junctions re-balanced.
     """
     pts = np.array([t[0] for t in terminals], dtype=float)
     mult = [int(t[1]) for t in terminals]
@@ -577,7 +577,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     nodes, stacked = prob.polylines(x)
     polys = dict(zip(prob.live, stacked))
 
-    if prob.curved and shoot_polish:
+    if prob.curved:
         nodes, polys = _shooting_polish(prob, nodes, polys)
 
     # merge junctions that collapsed onto other nodes

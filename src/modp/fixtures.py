@@ -255,7 +255,8 @@ def make_fixture(name: str, outdir: str, h: float = 0.2) -> list:
     def dump(fname, obj):
         path = os.path.join(outdir, fname)
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1)
+            # json.dumps takes the C encoder; json.dump and any indent do not
+            fh.write(json.dumps(obj))
         written.append(path)
 
     if name == "y120":

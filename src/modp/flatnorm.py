@@ -1,8 +1,9 @@
 """Flat norms mod p and discrete Plateau problems as integer linear programs.
 
-Both problems are handed to HiGHS (scipy ``milp``) as mixed-integer programs,
-which scales to mesh-sized instances; point-boundary Plateau problems use an
-exact Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
+Both problems are handed to HiGHS (scipy ``milp``) as mixed-integer programs
+through the one call in ``_solve_milp``, which scales to mesh-sized
+instances; Plateau problems with at most 8 boundary points use an exact
+Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
 exhaustive reference for small complexes.
 """
 
@@ -91,18 +92,33 @@ def _exact_value(T, z_chain, pi_chain, p, W):
     return val, R
 
 
-def _mip_gap(res) -> float:
-    """Relative gap a HiGHS ``milp`` result leaves open.
+def _solve_milp(c, A, lo, hi, lb, ub, integrality, time_limit):
+    """Minimize c @ x subject to lo <= A @ x <= hi and lb <= x <= ub with HiGHS.
 
-    A proven optimum reports 0, or the little HiGHS's absolute stopping gap
-    of 1e-6 allows.  A solve stopped early, at its time limit, reports the
-    gap HiGHS gives, or inf when that gap is missing or not positive: an
-    unproven incumbent never reads as optimal.
+    The one call into scipy's ``milp``: zero relative gap, integer entries
+    of ``x`` rounded.  Returns ``(x, nodes, gap)``.  The gap is 0, or the
+    little HiGHS's absolute stopping gap of 1e-6 allows, on a proven optimum;
+    on a solve stopped at its time limit it is the gap HiGHS reports, or inf
+    when that is missing or not positive, so an unproven incumbent never
+    reads as optimal.  An infeasible program raises ``ValueError``; only a
+    Plateau boundary that does not bound mod p makes one, as a flat norm is
+    always feasible.  A solve that ends with no incumbent raises
+    ``RuntimeError``.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    res = milp(c, constraints=LinearConstraint(A, lo, hi), integrality=integrality,
+               bounds=Bounds(lb, ub),
+               options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
+    if res.status == 2:
+        raise ValueError("infeasible: the boundary data does not bound mod p")
+    if res.x is None:
+        raise RuntimeError(f"MILP failed: {res.message}")
+    x = np.where(integrality > 0, np.round(res.x), res.x)
+    nodes = int(res.mip_node_count) if res.mip_node_count is not None else 0
     gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
-    if res.status == 0:
-        return max(gap, 0.0)
-    return gap if gap > 0 else math.inf
+    gap = max(gap, 0.0) if res.status == 0 else (gap if gap > 0 else math.inf)
+    return x, nodes, gap
 
 
 def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
@@ -115,9 +131,7 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     incumbent is returned with the unclosed gap in ``optimality_gap``; with
     no incumbent a ``RuntimeError`` is raised.
     """
-    from scipy import sparse as sp_sparse
-    from scipy.optimize import Bounds as OptBounds
-    from scipy.optimize import LinearConstraint, milp
+    from scipy import sparse
 
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -127,78 +141,49 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     nz = cx.n_simplices(k + 1) if has_z else 0
     npi = cx.n_simplices(k)
 
-    zero_pi = IntegerChain(cx, k, {})
-    zero_z = IntegerChain(cx, k + 1, {}) if has_z else None
-
     wr = _region_indices(W, cx, k)
     wz = _region_indices(W, cx, k + 1) if has_z else np.array([], dtype=int)
-    if len(wr) == 0 and len(wz) == 0:
-        return FlatDecomposition(T, zero_z, zero_pi, 0.0, W, nodes=0)
-    if T.is_zero():
-        return FlatDecomposition(T, zero_z, zero_pi, 0.0, W, nodes=0)
+    if (len(wr) == 0 and len(wz) == 0) or T.is_zero():
+        zero_z = IntegerChain(cx, k + 1, {}) if has_z else None
+        return FlatDecomposition(T, zero_z, IntegerChain(cx, k, {}), 0.0, W, nodes=0)
 
     maxT = max(abs(c) for c in T.coeffs.values())
     bz = max(p, maxT) + 1
     bpi = maxT
 
     t_dense = T.to_dense().astype(float)
-    B = cx.incidence[k + 1].tocsr().astype(float) if has_z else None
-    vol_r = cx.volumes[k]
+    B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
+         else sparse.csr_matrix((npi, 0)))
     vol_z = cx.volumes[k + 1] if has_z else np.zeros(0)
 
-    # variables: z (nz), pi (npi), a_z (len(wz)), a_r (len(wr))
+    # variables: z (nz), pi (npi), a_z (len(wz)), a_r (len(wr)); constraints
+    # in +/- pairs: |z| <= a_z on wz, then |T - Bz - p*pi| <= a_r on wr
     nint = nz + npi
-    nvar = nint + len(wz) + len(wr)
-    c_obj = np.zeros(nvar)
-    c_obj[nint:nint + len(wz)] = vol_z[wz]
-    c_obj[nint + len(wz):] = vol_r[wr]
+    c_obj = np.concatenate([np.zeros(nint), vol_z[wz], cx.volumes[k][wr]])
+    pm = sparse.csr_matrix([[1.0], [-1.0]])
+    both = sparse.csr_matrix([[1.0], [1.0]])
+    eye_r = sparse.eye(npi, format="csr")[wr]
+    A_ub = sparse.bmat([
+        [sparse.kron(sparse.eye(nz, format="csr")[wz], pm), None,
+         sparse.kron(-sparse.eye(len(wz)), both), None],
+        [sparse.kron(-B[wr], pm), sparse.kron(-p * eye_r, pm),
+         None, sparse.kron(-sparse.eye(len(wr)), both)],
+    ], format="csr")
+    b_ub = np.concatenate([np.zeros(2 * len(wz)), np.kron(-t_dense[wr], [1.0, -1.0])])
 
-    ri: list = []
-    ci: list = []
-    vals: list = []
-    rhs: list = []
-
-    def entry(row, col, val):
-        ri.append(row)
-        ci.append(col)
-        vals.append(val)
-
-    for pos, tau in enumerate(wz):
-        for sgn in (1.0, -1.0):
-            r = len(rhs)
-            entry(r, tau, sgn)
-            entry(r, nint + pos, -1.0)
-            rhs.append(0.0)
-    for pos, sig in enumerate(wr):
-        # a_r >= +-(T - Bz - p*pi)_sig
-        lo_, hi_ = (B.indptr[sig], B.indptr[sig + 1]) if has_z else (0, 0)
-        for sgn in (1.0, -1.0):
-            r = len(rhs)
-            for q in range(lo_, hi_):
-                entry(r, int(B.indices[q]), -sgn * float(B.data[q]))
-            entry(r, nz + sig, -sgn * float(p))
-            entry(r, nint + len(wz) + pos, -1.0)
-            rhs.append(-sgn * t_dense[sig])
-    A_ub = sp_sparse.csr_matrix((vals, (ri, ci)), shape=(len(rhs), nvar))
-    b_ub = np.array(rhs)
-
-    lo0 = np.concatenate([np.full(nz, -bz), np.full(npi, -bpi), np.zeros(len(wz) + len(wr))])
-    hi0 = np.concatenate([np.full(nz, bz), np.full(npi, bpi),
-                          np.full(len(wz) + len(wr), np.inf)])
-
-    integrality = np.concatenate([np.ones(nz + npi), np.zeros(len(wz) + len(wr))])
-    res = milp(c_obj, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
-               integrality=integrality, bounds=OptBounds(lo0, hi0),
-               options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
-    if res.x is None:
-        raise RuntimeError(f"flat norm MILP failed: {res.message}")
-    x = res.x
-    zc = (IntegerChain(cx, k + 1, {i: int(round(x[i])) for i in range(nz)})
-          if has_z else None)
-    pic = IntegerChain(cx, k, {i: int(round(x[nz + i])) for i in range(npi)})
+    n_aux = len(wz) + len(wr)
+    lb = np.concatenate([np.full(nz, -bz), np.full(npi, -bpi), np.zeros(n_aux)])
+    ub = np.concatenate([np.full(nz, bz), np.full(npi, bpi), np.full(n_aux, np.inf)])
+    integrality = np.concatenate([np.ones(nint), np.zeros(n_aux)])
+    x, nodes, gap = _solve_milp(c_obj, A_ub, -np.inf, b_ub, lb, ub, integrality, time_limit)
+    zc = IntegerChain(cx, k + 1, _int_coeffs(x[:nz])) if has_z else None
+    pic = IntegerChain(cx, k, _int_coeffs(x[nz:nint]))
     val, R = _exact_value(T, zc, pic, p, W)
-    nn = int(res.mip_node_count) if res.mip_node_count is not None else 0
-    return FlatDecomposition(R, zc, pic, val, W, nodes=nn, optimality_gap=_mip_gap(res))
+    return FlatDecomposition(R, zc, pic, val, W, nodes=nodes, optimality_gap=gap)
+
+
+def _int_coeffs(x) -> dict:
+    return {i: int(v) for i, v in enumerate(x)}
 
 
 def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None) -> float:
@@ -299,16 +284,13 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     return PlateauSolution(chain, mass(chain), b, 0.0, nodes=full + 1)
 
 
-def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0,
-                 mip_rel_gap: float = 0.0, engine: str = "auto") -> PlateauSolution:
+def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolution:
     """Mass-minimal integer k-chain whose boundary is congruent to b mod p.
 
-    For point boundary data with at most 8 support points the exact
-    Dreyfus-Wagner Steiner engine is used.  Otherwise the problem is
-    encoded as boundary(x) = b + p*y with x split into nonneg parts bounded
-    by floor(p/2) and y free integer, solved by HiGHS; when the time limit
-    stops branch-and-bound early, the incumbent is returned with the
-    unclosed gap in ``optimality_gap``.
+    Point boundary data with at most 8 support points goes to the exact
+    Dreyfus-Wagner Steiner dynamic program; everything else to the
+    mixed-integer program of ``_plateau_milp``, whose solve stops after
+    ``time_limit`` seconds.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -319,16 +301,24 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0,
     if k > cx.dim:
         raise ValueError("no simplices one degree above the boundary class")
     if b.representative.is_zero():
-        zero = IntegerChain(cx, k, {})
-        return PlateauSolution(zero, 0.0, b, 0.0, nodes=0)
-    if engine == "dp" or (engine == "auto" and b.degree == 0
-                          and len(b.representative.coeffs) <= 8):
+        return PlateauSolution(IntegerChain(cx, k, {}), 0.0, b, 0.0, nodes=0)
+    if b.degree == 0 and len(b.representative.coeffs) <= 8:
         return _plateau_steiner_dp(b, p)
+    return _plateau_milp(b, p, time_limit)
 
-    from scipy import sparse as sp_sparse
-    from scipy.optimize import Bounds as OptBounds
-    from scipy.optimize import LinearConstraint, milp
 
+def _plateau_milp(b: ModPClass, p: int, time_limit: float) -> PlateauSolution:
+    """Plateau problem as boundary(x) = b + p*y, solved by HiGHS.
+
+    x is split into nonnegative parts bounded by floor(p/2) and y is a
+    bounded integer k-1 chain.  When the time limit stops branch-and-bound
+    early, the incumbent is returned with the unclosed gap in
+    ``optimality_gap``; with no incumbent a ``RuntimeError`` is raised.
+    """
+    from scipy import sparse
+
+    cx = b.representative.complex
+    k = b.degree + 1
     n = cx.n_simplices(k)
     nb = cx.n_simplices(k - 1)
     B = cx.incidence[k].astype(float)
@@ -341,28 +331,17 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0,
 
     # variables: x+ (n), x- (n), y (nb)
     c_obj = np.concatenate([vols, vols, np.zeros(nb)])
-    A = sp_sparse.hstack([B, -B, -p * sp_sparse.eye(nb)]).tocsr()
-    constraint = LinearConstraint(A, b_dense, b_dense)
-    lo = np.concatenate([np.zeros(2 * n), -y_bound])
-    hi = np.concatenate([np.full(2 * n, float(half)), y_bound])
-    integrality = np.ones(2 * n + nb)
+    A = sparse.hstack([B, -B, -p * sparse.eye(nb)]).tocsr()
+    lb = np.concatenate([np.zeros(2 * n), -y_bound])
+    ub = np.concatenate([np.full(2 * n, float(half)), y_bound])
+    x, nodes, gap = _solve_milp(c_obj, A, b_dense, b_dense, lb, ub,
+                                np.ones(2 * n + nb), time_limit)
 
-    res = milp(c_obj, constraints=constraint, integrality=integrality,
-               bounds=OptBounds(lo, hi),
-               options={"time_limit": float(time_limit),
-                        "mip_rel_gap": float(mip_rel_gap)})
-    if res.status == 2 or (res.x is None and res.status != 0):
-        raise ValueError("does not bound mod p" if res.status == 2
-                         else f"solver failed: {res.message}")
-
-    x = np.round(res.x[:n] - res.x[n:2 * n]).astype(int)
-    chain = reduce_modp(IntegerChain(cx, k, {i: int(x[i]) for i in range(n)}), p).representative
-    nodes = int(res.mip_node_count) if res.mip_node_count is not None else 0
-
+    chain = reduce_modp(IntegerChain(cx, k, _int_coeffs(x[:n] - x[n:2 * n])), p).representative
     diff = boundary(chain) - b.representative
     if any(c % p != 0 for c in diff.coeffs.values()):
         raise RuntimeError("solver returned a chain that does not bound the class")
-    return PlateauSolution(chain, mass(chain), b, _mip_gap(res), nodes=nodes)
+    return PlateauSolution(chain, mass(chain), b, gap, nodes=nodes)
 
 
 def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = None) -> float:

@@ -58,25 +58,23 @@ def perp_components(T: VarifoldSample, center=None) -> np.ndarray:
     return q - proj
 
 
-def _eval_scalar(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """fn may be vectorized over an (N, D) block or act on single points."""
-    try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape == (len(pts),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(q)) for q in pts])
+def _eval_pair(g_val: Callable, g_grad: Callable, pts: np.ndarray):
+    """Values (N,) and gradients (N, D) of g at the rows of ``pts``.
 
-
-def _eval_vector(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape == pts.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([np.asarray(fn(q), dtype=float) for q in pts])
+    The pair is vectorised when ``g_val`` maps the (N, D) block to shape
+    (N,); then ``g_grad`` gets the block too.  Otherwise both are called one
+    point at a time.
+    """
+    vals = np.asarray(g_val(pts), dtype=float)
+    if vals.shape == (len(pts),):
+        grads = np.asarray(g_grad(pts), dtype=float)
+        if grads.shape != pts.shape:
+            raise ValueError(f"g_grad returned shape {grads.shape} for a block of "
+                             f"shape {pts.shape}, although g_val is vectorised")
+        return vals, grads
+    vals = np.array([float(g_val(q)) for q in pts])
+    grads = np.array([np.asarray(g_grad(q), dtype=float) for q in pts]).reshape(pts.shape)
+    return vals, grads
 
 
 def weighted_monotonicity_check(T: VarifoldSample, g_val: Callable,
@@ -91,7 +89,9 @@ def weighted_monotonicity_check(T: VarifoldSample, g_val: Callable,
            + (2/alpha) int |grad g|^2 |q_perp|^2 / |q|^(m+2k-alpha)
            + C * A * sup(ghat)^2 * ||T||(B_R1) / R1^(m-alpha),
 
-    all integrals over B_R1 against the sample weights.
+    all integrals over B_R1 against the sample weights.  g_val and g_grad
+    either both take an (N, D) block of points, returning shapes (N,) and
+    (N, D), or both take one point; the block call of g_val decides which.
     """
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
@@ -101,10 +101,10 @@ def weighted_monotonicity_check(T: VarifoldSample, g_val: Callable,
     pts = T.points[inside]
     wts = T.weights[inside]
     rr = np.maximum(r[inside], 1e-300)
-    g2 = _eval_scalar(g_val, pts) ** 2
+    g, grads = _eval_pair(g_val, g_grad, pts)
+    g2 = g ** 2
     perp = perp_components(T)[inside]
     perp2 = np.einsum("nd,nd->n", perp, perp)
-    grads = _eval_vector(g_grad, pts)
     grad2 = np.einsum("nd,nd->n", grads, grads)
     expo = m + 2 * k - alpha
     lhs = 0.5 * alpha * float(wts @ (g2 / rr ** expo))

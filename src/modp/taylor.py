@@ -258,15 +258,15 @@ def _nearest_circle(R: RevolvedCurrent, q, tol: float = None) -> dict:
     return best
 
 
-def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
-               grid_n: int = 32) -> list:
+def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
     """Excess (and optionally flat-distance) ladder at a singular point.
 
     For each radius r the excess of the revolved sample against the tangent
     book at q is recorded, together with the fitted constant making the
     top-rung r^(1/2) upper bound an equality.  The flat distance column
-    compares the rescaled generator network with its tangent rays on a fixed
-    triangulated square, localized away from the clipping boundary.
+    compares the rescaled generator network with its tangent rays on the
+    fixed ``LADDER_GRID_N``-square triangulated grid, localized away from the
+    clipping boundary.
     """
     q = np.asarray(q, dtype=float)
     circle = _nearest_circle(R, q)
@@ -276,7 +276,7 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
     r0 = radii[0]
     e0 = excess(R.sample, book, q, r0)
     c_excess = e0 / math.sqrt(r0) if r0 > 0 else 0.0
-    flats = _flat_ladder(R, circle, radii, grid_n) if with_flat \
+    flats = _flat_ladder(R, circle, radii) if with_flat \
         else [None] * len(radii)
     f0 = flats[0] if with_flat else None
     c_flat = (f0 / r0 ** 0.25) if with_flat and f0 is not None else None
@@ -291,10 +291,14 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True,
     return rows
 
 
-def _flat_ladder(R: RevolvedCurrent, circle, radii, grid_n):
+# cells per side of the square grid that carries the flat-distance ladder
+LADDER_GRID_N = 32
+
+
+def _flat_ladder(R: RevolvedCurrent, circle, radii):
     from .fixtures import grid_square_complex, rasterize_polyline
 
-    cx, spacing = grid_square_complex(grid_n)
+    cx, spacing = grid_square_complex(LADDER_GRID_N)
     junction = np.array([circle["x"], circle["y"]])
     ball = {
         1: {i for i, e in enumerate(cx.simplices[1])

@@ -54,6 +54,18 @@ def test_plateau_on_disk_mesh(tmp_path):
     assert out["gap"] == 0.0
 
 
+def test_plateau_milp_without_incumbent_is_exit_3(tmp_path):
+    assert run(["make-fixture", "disk-mesh", "--h", "0.25"],
+               tmp_path).returncode == 0
+    # nine points go to the MILP, which time limit 0 stops before any incumbent
+    nine = {"degree": 0, "coeffs": {str(v): 1 for v in range(0, 36, 4)}}
+    (tmp_path / "nine.json").write_text(json.dumps(nine))
+    res = run(["plateau", "--complex", "disk-mesh.json", "--boundary", "nine.json",
+               "--p", "3", "--time-limit", "0"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "MILP failed" in res.stderr
+
+
 def test_solve_network_json(tmp_path):
     spec = {"terminals": [
         {"point": [0.0, 1.0], "multiplicity": 1},

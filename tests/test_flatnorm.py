@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modp
-from modp import fixtures
+from modp import fixtures, flatnorm
 from conftest import random_chain
 
 
@@ -96,14 +96,30 @@ def test_plateau_p2_single_terminal_pair_is_shortest_path():
 
 
 def test_plateau_engines_agree_on_small_mesh():
+    # guards the split between the Steiner DP and the MILP in plateau_modp
     cx, info = fixtures.disk_mesh(0.45)
     b = modp.reduce_modp(
         modp.IntegerChain(cx, 0, {t: 1 for t in info["terminals"]}), 3)
-    dp = modp.plateau_modp(b, 3, engine="dp")
-    milp = modp.plateau_modp(b, 3, engine="milp")
-    assert dp.mass == pytest.approx(milp.mass, abs=1e-6)
-    bd = modp.boundary(dp.chain)
-    assert modp.reduce_modp(bd, 3) == b
+    dp = flatnorm._plateau_steiner_dp(b, 3)
+    milp = flatnorm._plateau_milp(b, 3, 120.0)
+    assert dp.mass == pytest.approx(milp.mass, abs=1e-9)
+    assert modp.reduce_modp(modp.boundary(dp.chain), 3) == b
+    rng = np.random.default_rng(606)
+    for i in range(20):
+        p = (3, 5)[i % 2]
+        pts = rng.choice(cx.n_simplices(0), size=int(rng.integers(2, 7)), replace=False)
+        mult = [int(m) for m in rng.integers(1, p, size=len(pts) - 1)]
+        if sum(mult) % p == 0:  # the last point needs a nonzero residue
+            mult[-1] = mult[-1] % (p - 1) + 1
+        mult.append(-sum(mult) % p)
+        b = modp.reduce_modp(
+            modp.IntegerChain(cx, 0, {int(t): m for t, m in zip(pts, mult)}), p)
+        dp = flatnorm._plateau_steiner_dp(b, p)
+        milp = flatnorm._plateau_milp(b, p, 120.0)
+        assert dp.mass == pytest.approx(milp.mass, abs=1e-9)
+        assert milp.optimality_gap < 1e-6
+        for sol in (dp, milp):
+            assert modp.reduce_modp(modp.boundary(sol.chain), p) == b
 
 
 def test_plateau_mixed_multiplicities():
@@ -127,6 +143,15 @@ def test_plateau_infeasible_residue_raises():
     b = modp.reduce_modp(modp.IntegerChain(cx, 0, {t0: 1}), 3)
     with pytest.raises(ValueError, match="does not bound"):
         modp.plateau_modp(b, 3)
+
+
+def test_plateau_milp_without_incumbent_is_a_solver_failure():
+    # more than 8 points go to the MILP, which time_limit=0 stops before any incumbent
+    cx, _ = fixtures.disk_mesh(0.25)
+    b = modp.reduce_modp(modp.IntegerChain(cx, 0, {v: 1 for v in range(0, 36, 4)}), 3)
+    with pytest.raises(RuntimeError, match="MILP failed"):
+        modp.plateau_modp(b, 3, time_limit=0.0)
+    assert modp.plateau_modp(b, 3).optimality_gap < 1e-6
 
 
 def test_flat_norm_matches_brute_oracle_on_random_strips():

@@ -87,6 +87,16 @@ def test_scalar_callables_accepted_per_point():
     g_grad = lambda q: np.asarray(q) / np.linalg.norm(q)
     rep = modp.weighted_monotonicity_check(s, g_val, g_grad, k=1, alpha=1.0, R1=1.0)
     assert rep.holds
+    # per-point and block callables give the same quadrature off the plane too
+    t = fixtures.tilted_plane_sample(0.3, delta=0.05)
+    point = modp.weighted_monotonicity_check(t, g_val, g_grad, k=1, alpha=1.0, R1=1.0)
+    block = modp.weighted_monotonicity_check(
+        t, lambda pts: np.linalg.norm(pts, axis=1),
+        lambda pts: pts / np.linalg.norm(pts, axis=1)[:, None], k=1, alpha=1.0, R1=1.0)
+    assert point.lhs == pytest.approx(block.lhs, abs=1e-12)
+    assert point.rhs == pytest.approx(block.rhs, abs=1e-12)
+    assert point.details["perp_term"] == pytest.approx(block.details["perp_term"], abs=1e-12)
+    assert block.details["perp_term"] > 1.0
 
 
 def test_cone_comparison_with_itself_vanishes(y_cone):

@@ -68,9 +68,12 @@ class OpenBook:
             for b in range(a + 1, len(self.pages)):
                 if np.linalg.norm(self.pages[a] - self.pages[b]) < 1e-12:
                     raise ValueError("page directions must be pairwise distinct")
-        for row in self.spine:
-            if np.max(np.abs(self.slice_basis @ row)) > 1e-9:
-                raise ValueError("slice plane must be orthogonal to the spine")
+        if self.slice_basis.ndim != 2 or self.slice_basis.shape[0] != 2:
+            raise ValueError("slice basis must have two rows")
+        frame = np.vstack([self.spine, self.slice_basis])
+        if np.max(np.abs(frame @ frame.T - np.eye(len(frame)))) > 1e-9:
+            raise ValueError("spine and slice basis rows must be orthonormal "
+                             "(Gram matrix within 1e-9 of the identity)")
 
     @property
     def m(self) -> int:
@@ -183,28 +186,28 @@ class VarifoldSample:
                    float(data.get("delta", 0.0)))
 
 
-def _slice_split(q: np.ndarray, S: OpenBook):
-    """Decompose q into spine part, slice 2-vector u, and residual norm."""
-    q = np.asarray(q, dtype=float)
-    u = S.slice_basis @ q
-    q_spine = S.spine.T @ (S.spine @ q) if S.spine.size else np.zeros_like(q)
-    resid = q - q_spine - S.slice_basis.T @ u
-    return u, float(np.linalg.norm(resid))
+def _dist2_to_book(Q: np.ndarray, S: OpenBook) -> np.ndarray:
+    """Squared distances from the rows of Q (N, D) to the closed book.
 
-
-def _dist2_to_ray(u: np.ndarray, v: np.ndarray) -> float:
-    s = float(u @ v)
-    if s >= 0.0:
-        w = u - s * v
-        return float(w @ w)
-    return float(u @ u)
+    Each row splits into its spine part, its slice 2-vector u and a residual
+    orthogonal to both.  The squared distance to the page with direction v
+    is |u|^2 where u . v < 0 (the nearest point is on the spine), and
+    otherwise the squared component of u across v; the book's distance takes
+    the smallest over pages and adds the squared residual.
+    """
+    U = Q @ S.slice_basis.T
+    resid = Q - (Q @ S.spine.T) @ S.spine - U @ S.slice_basis
+    along = U @ S.pages.T
+    across = U[:, :1] * S.pages[:, 1] - U[:, 1:] * S.pages[:, 0]
+    uu = np.einsum("ij,ij->i", U, U)
+    d2 = np.where(along >= 0.0, across * across, uu[:, None]).min(axis=1)
+    return d2 + np.einsum("ij,ij->i", resid, resid)
 
 
 def dist_to_book(q, S: OpenBook) -> float:
     """Distance from q to the closed book (min over pages)."""
-    u, r = _slice_split(q, S)
-    d2 = min(_dist2_to_ray(u, v) for v in S.pages)
-    return math.sqrt(d2 + r * r)
+    q = np.asarray(q, dtype=float)
+    return math.sqrt(float(_dist2_to_book(q[None, :], S)[0]))
 
 
 def excess(T: VarifoldSample, S: OpenBook, q, R: float) -> float:
@@ -216,7 +219,7 @@ def excess(T: VarifoldSample, S: OpenBook, q, R: float) -> float:
     inside = np.linalg.norm(shifted, axis=1) < R
     if not np.any(inside):
         return 0.0
-    d2 = np.array([dist_to_book(pt, S) ** 2 for pt in shifted[inside]])
+    d2 = _dist2_to_book(shifted[inside], S)
     return float(T.weights[inside] @ d2) / R ** (T.m + 2)
 
 

@@ -130,6 +130,15 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     relative gap.  If the time limit stops it with an incumbent, that
     incumbent is returned with the unclosed gap in ``optimality_gap``; with
     no incumbent a ``RuntimeError`` is raised.
+
+    The variables are boxed without losing an optimum.  With P free, the
+    cost of a k-simplex e is vol_e * |t_e - (boundary Z)_e|_p, the distance
+    to the nearest multiple of p, which depends on Z only mod p; replacing
+    each z_f by its reduced representative keeps every such cost and does
+    not raise |z_f|.  So some optimum has |z_f| <= floor(p/2), and for it
+    the nearest P_e = round((t_e - (boundary Z)_e) / p) satisfies
+    |P_e| <= ceil((|t_e| + c_e * floor(p/2)) / p), where c_e is the number
+    of cofaces of e (outside W any P_e costs nothing, so the same one does).
     """
     from scipy import sparse
 
@@ -147,13 +156,11 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
         zero_z = IntegerChain(cx, k + 1, {}) if has_z else None
         return FlatDecomposition(T, zero_z, IntegerChain(cx, k, {}), 0.0, W, nodes=0)
 
-    maxT = max(abs(c) for c in T.coeffs.values())
-    bz = max(p, maxT) + 1
-    bpi = maxT
-
     t_dense = T.to_dense().astype(float)
     B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
          else sparse.csr_matrix((npi, 0)))
+    half = p // 2
+    bpi = np.ceil((np.abs(t_dense) + np.diff(B.indptr) * half) / p)
     vol_z = cx.volumes[k + 1] if has_z else np.zeros(0)
 
     # variables: z (nz), pi (npi), a_z (len(wz)), a_r (len(wr)); constraints
@@ -172,8 +179,8 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     b_ub = np.concatenate([np.zeros(2 * len(wz)), np.kron(-t_dense[wr], [1.0, -1.0])])
 
     n_aux = len(wz) + len(wr)
-    lb = np.concatenate([np.full(nz, -bz), np.full(npi, -bpi), np.zeros(n_aux)])
-    ub = np.concatenate([np.full(nz, bz), np.full(npi, bpi), np.full(n_aux, np.inf)])
+    lb = np.concatenate([np.full(nz, -half), -bpi, np.zeros(n_aux)])
+    ub = np.concatenate([np.full(nz, half), bpi, np.full(n_aux, np.inf)])
     integrality = np.concatenate([np.ones(nint), np.zeros(n_aux)])
     x, nodes, gap = _solve_milp(c_obj, A_ub, -np.inf, b_ub, lb, ub, integrality, time_limit)
     zc = IntegerChain(cx, k + 1, _int_coeffs(x[:nz])) if has_z else None

@@ -30,6 +30,61 @@ def test_book_validation():
                       np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+def test_book_rejects_frame_that_is_not_orthonormal():
+    pages = [[math.cos(a), math.sin(a)] for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    spine = [[0.0, 0.0, 1.0]]
+    with pytest.raises(ValueError, match="orthonormal"):
+        modp.OpenBook(spine, [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], pages)
+    with pytest.raises(ValueError, match="orthonormal"):  # slice rows not orthogonal
+        modp.OpenBook(spine, [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]], pages)
+    with pytest.raises(ValueError, match="orthonormal"):  # spine not unit
+        modp.OpenBook([[0.0, 0.0, 2.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], pages)
+    with pytest.raises(ValueError, match="two rows"):
+        modp.OpenBook(spine, [[1.0, 0.0, 0.0]], pages)
+    book = modp.OpenBook(spine, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], pages)
+    assert modp.dist_to_book([1.0, 0.0, 0.0], book) == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_book(rng, m, D):
+    frame = np.linalg.qr(rng.normal(size=(D, D)))[0].T
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, int(rng.integers(3, 6))))
+    pages = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return modp.OpenBook(frame[:m - 1], frame[m - 1:m + 1], pages)
+
+
+def _reference_dist(x, book):
+    """Distance in ambient coordinates to each closed half-plane spine + ray."""
+    on_spine = book.spine.T @ (book.spine @ x)
+    best = math.inf
+    for v in book.pages:
+        d = book.slice_basis.T @ v
+        nearest = on_spine + max(float(d @ x), 0.0) * d
+        best = min(best, float(np.linalg.norm(x - nearest)))
+    return best
+
+
+@pytest.mark.parametrize("m,D", [(2, 3), (1, 2)])
+def test_distance_kernel_matches_half_plane_reference(m, D):
+    from modp.books import _dist2_to_book
+
+    rng = np.random.default_rng(17 + m)
+    for _ in range(4):
+        book = _random_book(rng, m, D)
+        X = rng.normal(size=(500, D))
+        X[:50] = rng.uniform(0.0, 2.0, size=(50, 1)) * (book.slice_basis.T @ book.pages[0])
+        ref = np.array([_reference_dist(x, book) for x in X])
+        np.testing.assert_allclose(_dist2_to_book(X, book), ref ** 2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([modp.dist_to_book(x, book) for x in X[:50]], ref[:50],
+                                   rtol=1e-12, atol=1e-12)
+        weights = rng.uniform(0.0, 1.0, len(X))
+        sample = modp.VarifoldSample(X, weights, m)
+        q, R = X[0] * 0.5, 1.5
+        inside = [i for i, x in enumerate(X) if np.linalg.norm(x - q) < R]
+        by_point = sum(weights[i] * modp.dist_to_book(X[i] - q, book) ** 2 for i in inside)
+        assert modp.excess(sample, book, q, R) == pytest.approx(by_point / R ** (m + 2),
+                                                               rel=1e-12)
+
+
 def test_cone_multiplicity_validation(y_cone):
     with pytest.raises(ValueError, match="p/2"):
         modp.ConeModP(y_cone.book, [2, 1, 1], 3)

@@ -133,6 +133,27 @@ def test_bad_json_is_exit_2(tmp_path):
     assert "error" in res.stderr
 
 
+def test_excess_rejects_book_frame_that_is_not_orthonormal(tmp_path):
+    # the point (1, 0, 0) lies on a page; a slice row of length 2 would put it at 3
+    pages = [{"dir": [math.cos(a), math.sin(a)], "kappa": 1}
+             for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    book = {"m": 2, "n": 1, "spine": [[0.0, 0.0, 1.0]],
+            "slice": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "pages": pages}
+    sample = {"m": 2, "points": [[1.0, 0.0, 0.0]], "weights": [1.0], "delta": 0.1}
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    (tmp_path / "sample.json").write_text(json.dumps(sample))
+    args = ["excess", "--sample", "sample.json", "--book", "book.json",
+            "--center", "0,0,0", "--radius", "2"]
+    res = run(args, tmp_path)
+    assert res.returncode == 2
+    assert "orthonormal" in res.stderr
+    book["slice"][0] = [1.0, 0.0, 0.0]
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    res = run(args, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["excess"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_missing_file_is_exit_2(tmp_path):
     res = run(["classify-cone", "--config", "nope.json"], tmp_path)
     assert res.returncode == 2

@@ -164,6 +164,22 @@ def test_flat_norm_matches_brute_oracle_on_random_strips():
         dec = modp.flat_norm_modp(t, p)
         assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3), abs=1e-8)
         assert 0.0 <= dec.optimality_gap < 1e-6  # HiGHS stops at an absolute gap of 1e-6
+    # larger coefficients, with and without a region: the oracle's box (6)
+    # holds the variable box of flat_norm_modp and the one it replaced
+    # (|Z| <= max(p, max|T|) + 1, |P| <= max|T|), and the witness stays in
+    # the proven box |Z| <= floor(p/2), |P_e| <= ceil((|t_e| + c_e floor(p/2)) / p)
+    cofaces = np.diff(cx.incidence[2].tocsr().indptr)
+    part = {1: set(range(7)), 2: {0, 1, 2}}
+    for i in range(7):
+        p = (2, 3, 5)[i % 3]
+        W = part if i == 6 else None
+        t = random_chain(rng, cx, 1, lo=-5, hi=5)
+        dec = modp.flat_norm_modp(t, p, W)
+        assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 6, W), abs=1e-8)
+        assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
+        assert np.abs(dec.Z.to_dense()).max() <= p // 2
+        box = np.ceil((np.abs(t.to_dense()) + cofaces * (p // 2)) / p)
+        assert np.all(np.abs(dec.P.to_dense()) <= box)
 
 
 def test_time_limited_flat_norm_never_claims_an_unproven_value():

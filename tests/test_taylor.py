@@ -128,6 +128,18 @@ def test_decay_scan_rows_without_flat(taylor_p3):
     assert rows[0]["excess"] >= rows[1]["excess"] >= 0.0
 
 
+def test_flat_ladder_values_are_pinned(taylor_p3):
+    # flat distances of the decay ladder, recorded with the earlier, looser
+    # variable box of the flat-norm program; a box that cut off an optimum
+    # would raise one of them
+    c = taylor_p3.singular_circles[0]
+    rows = modp.decay_scan(taylor_p3, (c["x"], 0.0, c["y"]), [0.2, 0.1, 0.05, 0.025])
+    expected = [0.03906250000000001, 0.017578125000000003,
+                0.005859375000000002, 0.005859375000000002]
+    np.testing.assert_allclose([row["flat_distance"] for row in rows], expected,
+                               rtol=0, atol=1e-12)
+
+
 def test_decay_scan_rejects_far_point(taylor_p3):
     with pytest.raises(ValueError, match="circle"):
         modp.decay_scan(taylor_p3, (0.1, 0.0, 0.9), [0.2], with_flat=False)

@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .books import ConeModP, OpenBook, VarifoldSample, coherence_angle, density_ratio, excess
 from .complexes import IntegerChain, ModPClass, SimplicialComplex, reduce_modp
-from .cones import RayConfiguration, check_structure, solve_network
+from .cones import (BALANCE_TOL, JUNCTION_MERGE_TOL, RayConfiguration, check_structure,
+                    solve_network)
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .flatnorm import brute_force_flat_oracle, flat_norm_modp, plateau_modp
 from .monotonicity import density_profile
@@ -91,16 +92,12 @@ def cmd_classify_cone(args) -> int:
            "multiplicity_bounds": rep.multiplicity_bounds,
            "enough_rays": rep.enough_rays, "all_ok": rep.all_ok,
            "balance_residual": rep.balance_residual,
-           "meta": _meta(args, balance_tolerance=1e-9)}, args.out)
+           "meta": _meta(args, balance_tolerance=BALANCE_TOL)}, args.out)
     return 0
 
 
 def _weight_arg(name):
-    if name == "euclidean":
-        return "euclidean"
-    if name in ("x", "sqrtx"):
-        return WeightedMetric(name)
-    raise SystemExit(f"unknown weight {name!r}")
+    return "euclidean" if name == "euclidean" else WeightedMetric(name)
 
 
 def cmd_solve_network(args) -> int:
@@ -110,7 +107,7 @@ def cmd_solve_network(args) -> int:
                         seed=args.seed)
     payload = net.to_json()
     payload["meta"] = _meta(args, weight=args.weight,
-                            junction_merge_tolerance=1e-8)
+                            junction_merge_tolerance=JUNCTION_MERGE_TOL)
     _emit(payload, args.out)
     return 0
 
@@ -255,12 +252,11 @@ def cmd_density(args) -> int:
 
 
 def cmd_make_fixture(args) -> int:
-    try:
-        written = make_fixture(args.name, args.out or ".", h=args.h)
-    except ValueError:
+    if args.name not in FIXTURE_NAMES:
         sys.stderr.write("unknown fixture; catalogue: "
                          + ", ".join(FIXTURE_NAMES) + "\n")
         return 2
+    written = make_fixture(args.name, args.out or ".", h=args.h)
     _emit({"written": written, "meta": _meta(args)})
     return 0
 
@@ -298,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve-network", cmd_solve_network)
     p.add_argument("--terminals", required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--weight", default="euclidean")
+    p.add_argument("--weight", default="euclidean", choices=["euclidean", "x", "sqrtx"])
 
     p = add("taylor", cmd_taylor)
     p.add_argument("--p", type=int, required=True)

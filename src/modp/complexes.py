@@ -2,6 +2,14 @@
 
 Coefficients are exact Python integers; geometry (simplex volumes) is
 computed once from vertex coordinates at construction time.
+
+A complex is assembled from one ``(n, k+1)`` integer array per degree.
+Each check on the input is an array test over a whole degree, every volume
+of a degree comes from one batched Gram determinant, and every orientation
+sign comes from ``_parity``.  Faces are found through one table per degree
+that maps a sorted vertex tuple to its (index, sign); the signed incidence
+matrices are then built from index arrays, and boundary-of-boundary = 0 is
+checked as a self-test of the signs.
 """
 
 from __future__ import annotations
@@ -24,17 +32,15 @@ __all__ = [
 ]
 
 
-def _simplex_volume(points: np.ndarray) -> float:
-    """k-volume of the simplex spanned by k+1 points, via the Gram determinant."""
-    edges = points[1:] - points[0]
-    k = edges.shape[0]
-    if k == 0:
-        return 1.0
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    if det <= 0.0:
-        return 0.0
-    return math.sqrt(det) / math.factorial(k)
+def _parity(s: np.ndarray) -> np.ndarray:
+    """Sign of the permutation that sorts each row of ``s``; 0 for a row
+    with a repeated entry.  Rows are short (at most 5), so the product of
+    ``sign(s[:, j] - s[:, i])`` over i < j is cheap."""
+    sign = np.ones(len(s), dtype=np.int64)
+    for j in range(s.shape[1]):
+        for i in range(j):
+            sign *= np.sign(s[:, j] - s[:, i])
+    return sign
 
 
 class SimplicialComplex:
@@ -53,58 +59,61 @@ class SimplicialComplex:
             raise ValueError("vertices must be an (n, d) array with 1 <= d <= 4")
         nv = len(self.vertices)
 
-        self.simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(nv)]}
-        for k in sorted(simplices):
-            k = int(k)
+        arrays = {0: np.arange(nv, dtype=np.int64)[:, None]}
+        for k in sorted(int(k) for k in simplices):
             if k == 0:
                 continue
-            cleaned = []
-            for s in simplices[k]:
-                s = tuple(int(i) for i in s)
-                if len(s) != k + 1 or len(set(s)) != k + 1:
-                    raise ValueError(f"bad {k}-simplex {s}: need {k + 1} distinct vertices")
-                if not all(0 <= i < nv for i in s):
-                    raise ValueError(f"vertex index out of range in simplex {s}")
-                cleaned.append(s)
-            self.simplices[k] = cleaned
+            try:
+                s = np.array(simplices[k], dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                s = None  # ragged rows or entries that are not vertex indices
+            if s is None or len(s) and s.shape[1:] != (k + 1,):
+                raise ValueError(f"bad {k}-simplices: each needs {k + 1} vertex indices")
+            s = s.reshape(-1, k + 1)
+            if not np.all(_parity(s)):
+                raise ValueError(f"bad {k}-simplex: need {k + 1} distinct vertices")
+            if s.size and not 0 <= s.min() <= s.max() < nv:
+                raise ValueError(f"vertex index out of range in a {k}-simplex")
+            arrays[k] = s
 
+        self.simplices: dict[int, list[tuple[int, ...]]] = {
+            k: list(map(tuple, s.tolist())) for k, s in arrays.items()}
         self.dim = max(self.simplices)
+
         self.volumes: dict[int, np.ndarray] = {}
-        for k, simps in self.simplices.items():
-            vols = np.array([_simplex_volume(self.vertices[list(s)]) for s in simps])
+        for k, s in arrays.items():
+            edges = self.vertices[s[:, 1:]] - self.vertices[s[:, :1]]
+            det = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+            vols = np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
             if k > 0 and np.any(vols <= 0.0):
                 bad = int(np.argmin(vols))
                 raise ValueError(f"degenerate {k}-simplex at index {bad}")
             self.volumes[k] = vols
 
-        # signed incidence matrices, incidence[k]: rows (k-1)-simplices, cols k-simplices
+        # per degree: sorted vertex tuple -> (index, sign of the sorting permutation)
         self._index: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
-        for k, simps in self.simplices.items():
-            table = {}
-            for j, s in enumerate(simps):
-                key, sign = _canonical(s)
-                if key in table:
-                    raise ValueError(f"duplicate {k}-simplex {s}")
-                table[key] = (j, sign)
+        for k, s in arrays.items():
+            table = dict(zip(map(tuple, np.sort(s, axis=1).tolist()),
+                             zip(range(len(s)), _parity(s).tolist())))
+            if len(table) < len(s):
+                raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
             self._index[k] = table
 
+        # signed incidence matrices, incidence[k]: rows (k-1)-simplices, cols k-simplices
         self.incidence: dict[int, sparse.csc_matrix] = {}
         for k in range(1, self.dim + 1):
-            simps = self.simplices.get(k, [])
-            ri, ci, vals = [], [], []
-            for j, s in enumerate(simps):
-                for i in range(k + 1):
-                    face = s[:i] + s[i + 1:]
-                    key, sign = _canonical(face)
-                    if key not in self._index[k - 1]:
-                        raise ValueError(f"face {face} of {s} missing from the complex")
-                    row, row_sign = self._index[k - 1][key]
-                    ri.append(row)
-                    ci.append(j)
-                    vals.append(((-1) ** i) * sign * row_sign)
+            s = arrays.get(k, np.zeros((0, k + 1), dtype=np.int64))
+            faces = np.concatenate([np.delete(s, i, axis=1) for i in range(k + 1)])
+            found = list(map(self._index.get(k - 1, {}).get,
+                             map(tuple, np.sort(faces, axis=1).tolist())))
+            if None in found:
+                face = tuple(faces[found.index(None)].tolist())
+                raise ValueError(f"face {face} of a {k}-simplex missing from the complex")
+            rows, row_sign = np.array(found, dtype=np.int64).reshape(-1, 2).T
+            face_sign = np.repeat((-1) ** np.arange(k + 1), len(s)) * _parity(faces)
             self.incidence[k] = sparse.csc_matrix(
-                (vals, (ri, ci)),
-                shape=(len(self.simplices.get(k - 1, [])), len(simps)),
+                (face_sign * row_sign, (rows, np.tile(np.arange(len(s)), k + 1))),
+                shape=(self.n_simplices(k - 1), len(s)),
                 dtype=np.int64)
 
         for k in range(2, self.dim + 1):
@@ -118,10 +127,9 @@ class SimplicialComplex:
 
     def simplex_index(self, vertices) -> tuple[int, int]:
         """Return (index, orientation sign) of the simplex with these vertices."""
-        key, sign = _canonical(tuple(int(v) for v in vertices))
-        k = len(key) - 1
-        j, stored_sign = self._index[k][key]
-        return j, sign * stored_sign
+        s = np.array([vertices], dtype=np.int64)
+        j, stored_sign = self._index[s.shape[1] - 1][tuple(sorted(s[0].tolist()))]
+        return j, int(_parity(s)[0]) * stored_sign
 
     def chain(self, degree: int, coeffs=None) -> "IntegerChain":
         return IntegerChain(self, degree, coeffs or {})
@@ -154,25 +162,6 @@ class SimplicialComplex:
     def load(cls, path) -> "SimplicialComplex":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def _canonical(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Sorted vertex tuple and the sign of the sorting permutation."""
-    order = sorted(range(len(simplex)), key=lambda i: simplex[i])
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(simplex[i] for i in order), sign
 
 
 @dataclass(frozen=True)

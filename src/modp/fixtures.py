@@ -73,42 +73,48 @@ _E2 = np.array([-math.sqrt(3) / 2, 0.5])
 
 
 def _hex_mesh(h: float, keep):
-    """Triangulated subset of the hexagonal lattice; keep(i, j, point) -> bool."""
+    """Triangulated subset of the hexagonal lattice.
+
+    ``keep(I, J, points)`` maps arrays of lattice indices and their points
+    to a boolean mask.  Vertices are numbered in C order of (i, j); each
+    vertex (i, j) opens at most two triangles, (i, j), (i+1, j), (i, j+1)
+    and (i+1, j), (i+1, j+1), (i, j+1), listed in that order.
+    """
     span = int(math.ceil(4.0 / h)) + 2
-    index = {}
-    verts = []
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
-            pt = h * (i * _E1 + j * _E2)
-            if keep(i, j, pt):
-                index[(i, j)] = len(verts)
-                verts.append(pt)
-    tris = []
-    for (i, j), vi in index.items():
-        a, b, c = (i + 1, j), (i, j + 1), (i + 1, j + 1)
-        if a in index and b in index:
-            tris.append((vi, index[a], index[b]))
-        if a in index and c in index and b in index:
-            tris.append((index[a], index[c], index[b]))
-    edges = set()
-    for (i, j), vi in index.items():
-        for di, dj in ((1, 0), (0, 1), (1, -1)):
-            other = (i + di, j + dj)
-            if other in index:
-                edges.add(tuple(sorted((vi, index[other]))))
-    cx = SimplicialComplex(np.array(verts), {1: sorted(edges), 2: tris})
-    return cx, index
+    I, J = np.meshgrid(np.arange(-span, span + 1), np.arange(-span, span + 1),
+                       indexing="ij")
+    pts = h * (I[..., None] * _E1 + J[..., None] * _E2)
+    # a last row and column of -1 padding: np.roll wraps the neighbours
+    # (i+1, .), (., j+1) and (., j-1) that leave the lattice onto it
+    mask = np.zeros((I.shape[0] + 1, I.shape[1] + 1), dtype=bool)
+    mask[:-1, :-1] = keep(I, J, pts)
+    ids = np.full(mask.shape, -1, dtype=np.int64)
+    ids[mask] = np.arange(mask.sum())
+    kept = mask[:-1, :-1]
+
+    def shifted(di, dj):
+        return np.roll(ids, (-di, -dj), axis=(0, 1))[:-1, :-1][kept]
+
+    v, a, b, c, d = (shifted(di, dj) for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)))
+    ab = (a >= 0) & (b >= 0)
+    tris = np.stack([np.c_[v, a, b], np.c_[a, c, b]], axis=1)[np.c_[ab, ab & (c >= 0)]]
+    pairs = np.concatenate([np.c_[v, a], np.c_[v, b], np.c_[v, d]])
+    edges = np.unique(np.sort(pairs[(pairs >= 0).all(axis=1)], axis=1), axis=0)
+    cx = SimplicialComplex(pts[kept], {1: edges, 2: tris})
+    return cx, dict(zip(zip(I[kept].tolist(), J[kept].tolist()), range(len(v))))
 
 
 def disk_mesh(h: float):
     """Triangulated unit disk at mesh size ~h (snapped so the boundary radius
     is exactly n*h); returns (complex, info) with the three equilateral
     terminal vertex indices at 90, 210, 330 degrees."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"mesh size h must be finite and > 0, got {h}")
     n = max(1, int(round(1.0 / h)))
     h = 1.0 / n
     n2 = n * n
 
-    cx, index = _hex_mesh(h, lambda i, j, pt: i * i + j * j + i * j <= n2)
+    cx, index = _hex_mesh(h, lambda I, J, pts: I * I + J * J + I * J <= n2)
     terminals = [index[(n, 0)], index[(-n, n)], index[(0, -n)]]
     return cx, {"h": h, "n": n, "terminals": terminals,
                 "terminal_points": [cx.vertices[t] for t in terminals]}
@@ -119,13 +125,16 @@ def half_plane_mesh(h: float, metric, x_range=(0.05, 1.3), y_range=(-1.0, 1.0)):
     weighted lengths w(midpoint) * h, for mesh Plateau runs in a conformal
     metric."""
 
-    def keep(i, j, pt):
-        return x_range[0] - 1e-9 <= pt[0] <= x_range[1] + 1e-9 and \
-            y_range[0] - 1e-9 <= pt[1] <= y_range[1] + 1e-9
+    def keep(I, J, pts):
+        x, y = pts[..., 0], pts[..., 1]
+        return (x_range[0] - 1e-9 <= x) & (x <= x_range[1] + 1e-9) & \
+            (y_range[0] - 1e-9 <= y) & (y <= y_range[1] + 1e-9)
 
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"mesh size h must be finite and > 0, got {h}")
     cx, index = _hex_mesh(h, keep)
-    mids = np.array([(cx.vertices[a] + cx.vertices[b]) / 2
-                     for a, b in cx.simplices[1]])
+    a, b = np.array(cx.simplices[1]).T
+    mids = (cx.vertices[a] + cx.vertices[b]) / 2
     cx.volumes[1] = metric.w(mids) * cx.volumes[1]
     return cx, index
 
@@ -136,25 +145,23 @@ def snap_to_vertex(cx: SimplicialComplex, point) -> int:
 
 def grid_square_complex(n: int):
     """Right-triangulated [-1,1]^2 with n cells per side; diagonal edges run
-    from (i,j) to (i+1,j+1).  Returns (complex, spacing)."""
+    from (i,j) to (i+1,j+1).  Returns (complex, spacing).
+
+    Vertex (i, j) has index i*(n+1) + j.  Each vertex opens, in this order,
+    the edges to (i+1, j), (i, j+1) and (i+1, j+1) and the triangles
+    (i, j), (i+1, j), (i+1, j+1) and (i, j), (i+1, j+1), (i, j+1), where
+    those exist.
+    """
     spacing = 2.0 / n
-    verts = [[-1.0 + i * spacing, -1.0 + j * spacing]
-             for i in range(n + 1) for j in range(n + 1)]
-
-    def v(i, j):
-        return i * (n + 1) + j
-
-    edges, tris = [], []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i < n:
-                edges.append((v(i, j), v(i + 1, j)))
-            if j < n:
-                edges.append((v(i, j), v(i, j + 1)))
-            if i < n and j < n:
-                edges.append((v(i, j), v(i + 1, j + 1)))
-                tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
-                tris.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+    I, J = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    I, J = I.ravel(), J.ravel()
+    verts = np.c_[-1.0 + I * spacing, -1.0 + J * spacing]
+    v = I * (n + 1) + J
+    right, up, diag = v + n + 1, v + 1, v + n + 2
+    inner = (I < n) & (J < n)
+    edges = np.stack([np.c_[v, right], np.c_[v, up], np.c_[v, diag]], axis=1)
+    edges = edges[np.c_[I < n, J < n, inner]]
+    tris = np.stack([np.c_[v, right, diag], np.c_[v, diag, up]], axis=1)[inner].reshape(-1, 3)
     return SimplicialComplex(verts, {1: edges, 2: tris}), spacing
 
 

@@ -300,12 +300,9 @@ def _flat_ladder(R: RevolvedCurrent, circle, radii):
 
     cx, spacing = grid_square_complex(LADDER_GRID_N)
     junction = np.array([circle["x"], circle["y"]])
-    ball = {
-        1: {i for i, e in enumerate(cx.simplices[1])
-            if all(np.linalg.norm(cx.vertices[v]) <= 0.85 for v in e)},
-        2: {i for i, t in enumerate(cx.simplices[2])
-            if all(np.linalg.norm(cx.vertices[v]) <= 0.85 for v in t)},
-    }
+    inside = np.linalg.norm(cx.vertices, axis=1) <= 0.85
+    ball = {k: np.flatnonzero(inside[np.array(cx.simplices[k])].all(axis=1))
+            for k in (1, 2)}
     from .flatnorm import flat_norm_modp
 
     out = []

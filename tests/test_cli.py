@@ -43,6 +43,26 @@ def test_flat_norm_with_oracle(tmp_path):
     assert out["oracle_value"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_flat_norm_rejects_complex_with_missing_face(tmp_path):
+    # the triangle (0, 1, 2) lacks its edge (0, 2)
+    cx = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+          "simplices": {"1": [[0, 1], [1, 2]], "2": [[0, 1, 2]]}}
+    (tmp_path / "cx.json").write_text(json.dumps(cx))
+    (tmp_path / "t.json").write_text(json.dumps({"degree": 1, "coeffs": {"0": 1}}))
+    res = run(["flat-norm", "--complex", "cx.json", "--chain", "t.json", "--p", "3"],
+              tmp_path)
+    assert res.returncode == 2
+    assert "missing" in res.stderr
+
+
+@pytest.mark.parametrize("h", ["0", "nan", "-0.5"])
+def test_make_fixture_rejects_bad_mesh_size(tmp_path, h):
+    res = run(["make-fixture", "disk-mesh", f"--h={h}"], tmp_path)
+    assert res.returncode == 2
+    assert "mesh size" in res.stderr
+    assert not (tmp_path / "disk-mesh.json").exists()
+
+
 def test_plateau_on_disk_mesh(tmp_path):
     assert run(["make-fixture", "disk-mesh", "--h", "0.2"],
                tmp_path).returncode == 0
@@ -79,6 +99,16 @@ def test_solve_network_json(tmp_path):
     assert out["mass"] == pytest.approx(3.0, abs=1e-6)
     # emitted JSON re-parses to the same payload
     assert json.loads(json.dumps(out)) == out
+
+
+def test_solve_network_rejects_unknown_weight(tmp_path):
+    spec = {"terminals": [{"point": [0.0, 1.0], "multiplicity": 1},
+                          {"point": [0.0, -1.0], "multiplicity": 1}]}
+    (tmp_path / "terms.json").write_text(json.dumps(spec))
+    res = run(["solve-network", "--terminals", "terms.json", "--p", "2",
+               "--weight", "foo"], tmp_path)
+    assert res.returncode == 2
+    assert "invalid choice" in res.stderr
 
 
 def test_density_and_monotonicity_csv(tmp_path):

@@ -1,8 +1,13 @@
 """Chains, boundaries, mod-p representatives, and mass."""
 
+import hashlib
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import modp
 from modp import fixtures
@@ -90,3 +95,115 @@ def test_incidence_is_sparse_and_consistent():
     prod = (B1 @ B2).tocsr()
     prod.eliminate_zeros()
     assert prod.count_nonzero() == 0
+
+
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("vertices,simplices", [
+    (_TRIANGLE, {1: [(0, 1, 2)]}),
+    (_TRIANGLE, {1: [(0, 1), (1, 2, 0)]}),
+    (_TRIANGLE, {1: [(0, 0)]}),
+    (_TRIANGLE, {1: [(0, 3)]}),
+    (_TRIANGLE, {1: [(0, -1)]}),
+    ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], {1: [(0, 1), (1, 2), (0, 2)], 2: [(0, 1, 2)]}),
+    (_TRIANGLE, {1: [(0, 1), (1, 2), (2, 1)]}),
+    (_TRIANGLE, {1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}),
+    (_TRIANGLE, {2: [(0, 1, 2)]}),
+], ids=["arity", "ragged", "repeated_vertex", "index_out_of_range", "negative_index",
+        "degenerate", "duplicate_permuted", "missing_face", "missing_degree"])
+def test_complex_rejects_bad_input(vertices, simplices):
+    with pytest.raises(ValueError):
+        modp.SimplicialComplex(vertices, simplices)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
+def test_meshes_reject_bad_size(h):
+    with pytest.raises(ValueError, match="mesh size"):
+        fixtures.disk_mesh(h)
+    with pytest.raises(ValueError, match="mesh size"):
+        fixtures.half_plane_mesh(h, modp.WeightedMetric("x"))
+
+
+def _inversion_sign(s):
+    inversions = sum(s[i] > s[j] for i in range(len(s)) for j in range(i + 1, len(s)))
+    return -1 if inversions % 2 else 1
+
+
+def _reference_assembly(vertices, simplices):
+    """Volumes and incidence matrices computed one simplex and one face at a time."""
+    from scipy import sparse
+
+    volumes = {}
+    for k, simps in simplices.items():
+        vols = []
+        for s in simps:
+            edges = vertices[list(s[1:])] - vertices[s[0]]
+            det = float(np.linalg.det(edges @ edges.T)) if k else 1.0
+            vols.append(math.sqrt(det) / math.factorial(k) if det > 0 else 0.0)
+        volumes[k] = np.array(vols)
+    incidence = {}
+    for k in range(1, max(simplices) + 1):
+        rows = {tuple(sorted(f)): (r, _inversion_sign(f))
+                for r, f in enumerate(simplices[k - 1])}
+        dense = np.zeros((len(simplices[k - 1]), len(simplices[k])), dtype=np.int64)
+        for j, s in enumerate(simplices[k]):
+            for i in range(k + 1):
+                face = s[:i] + s[i + 1:]
+                r, sign = rows[tuple(sorted(face))]
+                dense[r, j] = (-1) ** i * _inversion_sign(face) * sign
+        incidence[k] = sparse.csc_matrix(dense)
+    return volumes, incidence
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assembly_matches_face_by_face_reference(data):
+    nv = data.draw(st.integers(5, 8))
+    vertices = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(size=(nv, 4))
+    tops = data.draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=2, max_size=5),
+                              min_size=1, max_size=6))
+    closure = {tuple(sorted(f)) for t in tops
+               for r in range(2, len(t) + 1) for f in itertools.combinations(sorted(t), r)}
+    simplices = {0: [(i,) for i in range(nv)]}
+    for k in range(1, max(len(f) for f in closure)):
+        faces = data.draw(st.permutations(sorted(f for f in closure if len(f) == k + 1)))
+        simplices[k] = [tuple(data.draw(st.permutations(f))) for f in faces]
+    cx = modp.SimplicialComplex(vertices, {k: s for k, s in simplices.items() if k})
+    volumes, incidence = _reference_assembly(vertices, simplices)
+    assert cx.simplices == simplices
+    for k, vols in volumes.items():
+        np.testing.assert_array_equal(cx.volumes[k], vols)
+    for k, ref in incidence.items():
+        got = cx.incidence[k]
+        assert got.dtype == np.int64 and got.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr))
+    for k in range(1, cx.dim + 1):
+        for j, s in enumerate(simplices[k]):
+            assert cx.simplex_index(s) == (j, 1)
+            swapped = (s[1], s[0]) + s[2:]
+            assert cx.simplex_index(swapped) == (j, -1)
+
+
+def _json_digest(cx, volumes=False):
+    obj = cx.to_json()
+    if volumes:
+        obj["volumes"] = {str(k): v.tolist() for k, v in cx.volumes.items()}
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# SHA-256 of each generated mesh's JSON: witnesses index simplices by
+# position, so the order of vertices and simplices must not change.
+@pytest.mark.parametrize("build,volumes,digest", [
+    (lambda: fixtures.disk_mesh(0.1)[0], False,
+     "43813288778e718dc64c170673fbea470b996fd6c1493112c5c50dc20b1a3a22"),
+    (lambda: fixtures.grid_square_complex(8)[0], False,
+     "a3ad49ad2001bf089d74a0bd6444e7c474fbffbde59d0e0996f437aa3c76c403"),
+    (lambda: fixtures.strip_complex(5), False,
+     "cba1c198efe0f928a7b22cedd8d286275e97e0d85a1c31f28c2567a9344fd232"),
+    (lambda: fixtures.half_plane_mesh(0.1, modp.WeightedMetric("x"))[0], True,
+     "7714ce41aa2b3385d2641b215e21ff28bf9ce9b4e43aa755323030d9ea91f829"),
+], ids=["disk_mesh", "grid_square", "strip", "half_plane"])
+def test_generated_meshes_are_pinned(build, volumes, digest):
+    assert _json_digest(build(), volumes) == digest

@@ -9,7 +9,6 @@ exhaustive reference for small complexes.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -207,84 +206,85 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     non-increasing in one direction), and on a tree the coefficient of an
     edge is the reduced sum of the terminal multiplicities it cuts off.
     Minimal forests are found by Dreyfus-Wagner dynamic programming over
-    terminal subsets, with per-edge cost scaled by the carried residue;
-    subsets whose multiplicities already balance mod p travel for free,
-    which realizes every grouping of terminals into separate trees.
+    terminal subsets s, with ``cost[s]`` one row of a (2^T, n_v) array: the
+    least ``cost[s1] + cost[s2]`` over splits of s, then one Dijkstra pass
+    from a virtual source joined to each vertex at that cost, with edge
+    lengths scaled by the residue s carries.  A subset whose multiplicities
+    balance mod p is a finished forest that may lie anywhere, in any
+    component: its row is its minimum, reached by a jump to the argmin.
+    The witness is one minimal forest, listed in edge-index order.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     cx = b.representative.complex
-    terminals = sorted(b.representative.coeffs)
-    mult = [b.representative.coeffs[t] for t in terminals]
-    T = len(terminals)
+    terminals, mult = zip(*sorted(b.representative.coeffs.items()))
     n_v = cx.n_simplices(0)
-    wts = cx.volumes[1]
-
-    adj: list = [[] for _ in range(n_v)]
-    for j, (a, c) in enumerate(cx.simplices[1]):
-        adj[a].append((c, j))
-        adj[c].append((a, j))
-
-    full = (1 << T) - 1
-    residue = [representative_modp(sum(mult[i] for i in range(T) if s >> i & 1), p)
+    full = (1 << len(terminals)) - 1
+    residue = [representative_modp(sum(m for i, m in enumerate(mult) if s >> i & 1), p)
                for s in range(full + 1)]
+    infeasible = ValueError("infeasible: the boundary data does not bound mod p")
     if residue[full] != 0:
-        raise ValueError("does not bound mod p")
+        raise infeasible
 
-    INF = math.inf
-    cost = [[INF] * n_v for _ in range(full + 1)]
-    # parent[s][v] = ("merge", s1) or ("edge", u, edge_index)
-    parent: list = [[None] * n_v for _ in range(full + 1)]
+    # both directions of each edge at residue 1; row n_v is the virtual source
+    tail, head = np.array(cx.simplices[1], dtype=np.int64).reshape(-1, 2).T
+    unit = csr_matrix((np.tile(cx.volumes[1], 2), (np.r_[tail, head], np.r_[head, tail])),
+                      shape=(n_v + 1, n_v + 1))
+    indptr = unit.indptr.copy()
+
+    cost = np.full((full + 1, n_v), np.inf)
+    split = np.zeros((full + 1, n_v), dtype=np.int32)  # s1 of the best merge
+    pred = np.full((full + 1, n_v), -1, dtype=np.int32)  # (s, v) extends (s, pred)
     for i, t in enumerate(terminals):
-        cost[1 << i][t] = 0.0
+        cost[1 << i, t] = 0.0
 
     for s in range(1, full + 1):
         row = cost[s]
-        par = parent[s]
         s1 = (s - 1) & s
         while s1:
             s2 = s ^ s1
             if s1 < s2:  # each unordered split once
-                r1, r2 = cost[s1], cost[s2]
-                for v in range(n_v):
-                    c = r1[v] + r2[v]
-                    if c < row[v]:
-                        row[v] = c
-                        par[v] = ("merge", s1)
+                c = cost[s1] + cost[s2]
+                better = c < row
+                row[better] = c[better]
+                split[s, better] = s1
             s1 = (s1 - 1) & s
-        scale = abs(residue[s])
-        heap = [(row[v], v) for v in range(n_v) if row[v] < INF]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > row[v]:
-                continue
-            for u, j in adj[v]:
-                nd = d + scale * wts[j]
-                if nd < row[u] - 1e-15:
-                    row[u] = nd
-                    par[u] = ("edge", v, j)
-                    heapq.heappush(heap, (nd, u))
+        if residue[s] == 0:
+            root = int(np.argmin(row))
+            row[:] = row[root]
+            pred[s] = root
+            pred[s, root] = -1
+            continue
+        src = np.flatnonzero(row < np.inf)
+        indptr[-1] = unit.nnz + len(src)
+        graph = csr_matrix((np.r_[abs(residue[s]) * unit.data, row[src]],
+                            np.r_[unit.indices, src], indptr), shape=unit.shape)
+        dist, via = dijkstra(graph, indices=n_v, return_predecessors=True)
+        better = dist[:n_v] < row
+        row[better] = dist[:n_v][better]
+        pred[s, better] = via[:n_v][better]
 
     root = int(np.argmin(cost[full]))
-    if cost[full][root] == INF:
-        raise RuntimeError("Steiner DP found no connected solution")
+    if cost[full, root] == np.inf:  # some component's terminals do not balance
+        raise infeasible
 
-    coeffs: dict = {}
+    coeffs = np.zeros(cx.n_simplices(1), dtype=np.int64)
     stack = [(full, root)]
     while stack:
         s, v = stack.pop()
-        step = parent[s][v]
-        if step is None:
-            continue
-        if step[0] == "merge":
-            stack.append((step[1], v))
-            stack.append((s ^ step[1], v))
-        else:
-            _, u, j = step
-            a, c = cx.simplices[1][j]
-            sgn = 1 if (a, c) == (v, u) else -1
-            coeffs[j] = coeffs.get(j, 0) + sgn * residue[s]
+        u = int(pred[s, v])
+        if u >= 0:
+            if residue[s]:  # the forest carries residue[s] along edge (v, u); a jump has none
+                j, sgn = cx.simplex_index((v, u))
+                coeffs[j] += sgn * residue[s]
             stack.append((s, u))
-    chain = reduce_modp(IntegerChain(cx, 1, coeffs), p).representative
+        elif split[s, v]:
+            s1 = int(split[s, v])
+            stack += [(s1, v), (s ^ s1, v)]
+    nz = np.flatnonzero(coeffs)
+    chain = reduce_modp(IntegerChain(cx, 1, dict(zip(nz.tolist(), coeffs[nz].tolist()))),
+                        p).representative
     diff = boundary(chain) - b.representative
     if any(c % p != 0 for c in diff.coeffs.values()):
         raise RuntimeError("solver returned a chain that does not bound the class")

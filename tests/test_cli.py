@@ -86,6 +86,24 @@ def test_plateau_milp_without_incumbent_is_exit_3(tmp_path):
     assert "MILP failed" in res.stderr
 
 
+def test_plateau_on_disconnected_complex(tmp_path):
+    # two unit edges in different components; {0: 1, 2: 2} balances only across them
+    cx = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 2.0]],
+          "simplices": {"1": [[0, 1], [2, 3]]}}
+    (tmp_path / "two-edges.json").write_text(json.dumps(cx))
+    for name, coeffs in (("both", {0: 1, 1: -1, 2: 1, 3: -1}), ("across", {0: 1, 2: 2})):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"degree": 0, "coeffs": {str(v): m for v, m in coeffs.items()}}))
+    res = run(["plateau", "--complex", "two-edges.json", "--boundary", "both.json",
+               "--p", "3"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["value"] == pytest.approx(2.0, abs=1e-12)
+    res = run(["plateau", "--complex", "two-edges.json", "--boundary", "across.json",
+               "--p", "3"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "does not bound mod p" in res.stderr
+
+
 def test_solve_network_json(tmp_path):
     spec = {"terminals": [
         {"point": [0.0, 1.0], "multiplicity": 1},
@@ -224,13 +242,15 @@ def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):
 
 
 def test_import_loads_no_scipy_solver(tmp_path):
-    # scipy.optimize and scipy.integrate load with the first solver call that
-    # needs them, so neither import nor a non-solver command pays for them
+    # scipy.optimize, scipy.integrate and scipy.sparse.csgraph load with the
+    # first solver call that needs them, so neither import nor a non-solver
+    # command pays for them
     code = """
 import json, sys
 def solvers():
     return sorted(m for m in sys.modules
-                  if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"]))
+                  if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"])
+                  or m.startswith("scipy.sparse.csgraph"))
 import modp
 after_modp = solvers()
 import modp.cli

@@ -95,31 +95,68 @@ def test_plateau_p2_single_terminal_pair_is_shortest_path():
     assert sol.mass == pytest.approx(dists[v1], abs=1e-9)
 
 
+def _random_boundary(rng, cx, p, n):
+    """n distinct vertices with nonzero multiplicities summing to 0 mod p (n even for p=2)."""
+    pts = rng.choice(cx.n_simplices(0), size=n, replace=False)
+    mult = [int(m) for m in rng.integers(1, p, size=n - 1)]
+    if sum(mult) % p == 0:  # the last point needs a nonzero residue
+        mult[-1] = mult[-1] % (p - 1) + 1
+    mult.append(-sum(mult) % p)
+    return modp.reduce_modp(
+        modp.IntegerChain(cx, 0, {int(t): m for t, m in zip(pts, mult)}), p)
+
+
 def test_plateau_engines_agree_on_small_mesh():
-    # guards the split between the Steiner DP and the MILP in plateau_modp
-    cx, info = fixtures.disk_mesh(0.45)
-    b = modp.reduce_modp(
-        modp.IntegerChain(cx, 0, {t: 1 for t in info["terminals"]}), 3)
-    dp = flatnorm._plateau_steiner_dp(b, 3)
-    milp = flatnorm._plateau_milp(b, 3, 120.0)
-    assert dp.mass == pytest.approx(milp.mass, abs=1e-9)
-    assert modp.reduce_modp(modp.boundary(dp.chain), 3) == b
-    rng = np.random.default_rng(606)
-    for i in range(20):
-        p = (3, 5)[i % 2]
-        pts = rng.choice(cx.n_simplices(0), size=int(rng.integers(2, 7)), replace=False)
-        mult = [int(m) for m in rng.integers(1, p, size=len(pts) - 1)]
-        if sum(mult) % p == 0:  # the last point needs a nonzero residue
-            mult[-1] = mult[-1] % (p - 1) + 1
-        mult.append(-sum(mult) % p)
-        b = modp.reduce_modp(
-            modp.IntegerChain(cx, 0, {int(t): m for t, m in zip(pts, mult)}), p)
-        dp = flatnorm._plateau_steiner_dp(b, p)
-        milp = flatnorm._plateau_milp(b, p, 120.0)
-        assert dp.mass == pytest.approx(milp.mass, abs=1e-9)
-        assert milp.optimality_gap < 1e-6
-        for sol in (dp, milp):
-            assert modp.reduce_modp(modp.boundary(sol.chain), p) == b
+    # guards the split between the Steiner DP and the MILP in plateau_modp,
+    # on up to 8 points, the cut-over
+    for h, count in ((0.45, 24), (0.25, 12)):
+        cx, info = fixtures.disk_mesh(h)
+        # on h=0.25 the MILP takes 10 s for the symmetric three points, up to 5 s for these
+        cases = [] if h == 0.25 else [modp.reduce_modp(
+            modp.IntegerChain(cx, 0, {t: 1 for t in info["terminals"]}), 3)]
+        rng = np.random.default_rng(606)
+        for i in range(count):
+            p = (2, 3, 5)[i % 3]
+            n = int(rng.integers(2, 9))
+            cases.append(_random_boundary(rng, cx, p, n + n % 2 if p == 2 else n))
+        assert max(len(b.representative.coeffs) for b in cases) == 8
+        for b in cases:
+            dp = flatnorm._plateau_steiner_dp(b, b.p)
+            milp = flatnorm._plateau_milp(b, b.p, 120.0)
+            assert dp.mass == pytest.approx(milp.mass, abs=1e-9)
+            assert milp.optimality_gap < 1e-6
+            for sol in (dp, milp):
+                assert modp.reduce_modp(modp.boundary(sol.chain), b.p) == b
+
+
+def test_steiner_dp_masses_are_pinned():
+    # masses of the heapq Dreyfus-Wagner recursion that the array DP replaced
+    cx, _ = fixtures.disk_mesh(0.05)
+    rng = np.random.default_rng(808)
+    cases = [_random_boundary(rng, cx, p, n) for n in (3, 4, 5, 6) for p in (3, 5)]
+    pinned = [0.95, 1.8500000000000008, 0.9000000000000002, 3.25,
+              1.6500000000000001, 2.3000000000000003, 1.6000000000000005, 3.500000000000001]
+    for b, want in zip(cases, pinned, strict=True):
+        sol = flatnorm._plateau_steiner_dp(b, b.p)
+        assert sol.mass == pytest.approx(want, abs=1e-12)
+        assert modp.reduce_modp(modp.boundary(sol.chain), b.p) == b
+        assert list(sol.chain.coeffs) == sorted(sol.chain.coeffs)
+        assert flatnorm._plateau_steiner_dp(b, b.p).chain.coeffs == sol.chain.coeffs
+
+
+@pytest.mark.parametrize("engine", ["dp", "milp"])
+def test_plateau_on_disconnected_complex(engine):
+    solve = {"dp": flatnorm._plateau_steiner_dp,
+             "milp": lambda b, p: flatnorm._plateau_milp(b, p, 120.0)}[engine]
+    # two unit edges in different components; `across` balances only across them
+    cx = modp.SimplicialComplex([[0, 0], [1, 0], [0, 2], [1, 2]], {1: [(0, 1), (2, 3)]})
+    both = modp.reduce_modp(modp.IntegerChain(cx, 0, {0: 1, 1: -1, 2: 1, 3: -1}), 3)
+    across = modp.reduce_modp(modp.IntegerChain(cx, 0, {0: 1, 2: 2}), 3)
+    sol = solve(both, 3)
+    assert sol.mass == pytest.approx(2.0, abs=1e-12)
+    assert modp.reduce_modp(modp.boundary(sol.chain), 3) == both
+    with pytest.raises(ValueError, match="infeasible: the boundary data does not bound mod p"):
+        solve(across, 3)
 
 
 def test_plateau_mixed_multiplicities():

@@ -1,6 +1,10 @@
-"""Oriented simplicial complexes and sparse integer chains.
+"""Oriented simplicial complexes and integer chains.
 
-Coefficients are exact Python integers; geometry (simplex volumes) is
+A k-chain is one read-only int64 vector with one entry per k-simplex: its
+boundary is a product with a signed incidence matrix and its mass one dot
+product with the simplex volumes.  Coefficients are exact; an input, a sum,
+a scalar product or a boundary that would leave the int64 range raises
+``OverflowError`` instead of wrapping.  Geometry (simplex volumes) is
 computed once from vertex coordinates at construction time.
 
 A complex is assembled from one ``(n, k+1)`` integer array per degree.
@@ -16,7 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,6 +96,8 @@ class SimplicialComplex:
                 bad = int(np.argmin(vols))
                 raise ValueError(f"degenerate {k}-simplex at index {bad}")
             self.volumes[k] = vols
+        # to_json writes the volumes of a degree only where they differ from these
+        self._geometric_volumes = {k: v.copy() for k, v in self.volumes.items()}
 
         # per degree: sorted vertex tuple -> (index, sign of the sorting permutation)
         self._index: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
@@ -132,7 +141,7 @@ class SimplicialComplex:
         return j, int(_parity(s)[0]) * stored_sign
 
     def chain(self, degree: int, coeffs=None) -> "IntegerChain":
-        return IntegerChain(self, degree, coeffs or {})
+        return IntegerChain(self, degree, coeffs)
 
     def chain_from_simplices(self, degree: int, simplex_list) -> "IntegerChain":
         """Chain summing the given simplices (vertex tuples), coefficient +1 each."""
@@ -145,7 +154,9 @@ class SimplicialComplex:
     # -- JSON interface (schema `complex.json`) --
 
     def to_json(self) -> dict:
-        return {
+        """Vertices and simplices; ``"volumes"`` holds each degree whose volumes
+        were replaced after construction (a conformal weight), and only those."""
+        data = {
             "vertices": [list(map(float, v)) for v in self.vertices],
             "simplices": {
                 str(k): [list(s) for s in simps]
@@ -153,10 +164,23 @@ class SimplicialComplex:
                 if k > 0
             },
         }
+        volumes = {str(k): v.tolist() for k, v in self.volumes.items()
+                   if not np.array_equal(v, self._geometric_volumes[k])}
+        if volumes:
+            data["volumes"] = volumes
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":
-        return cls(data["vertices"], {int(k): v for k, v in data["simplices"].items()})
+        cx = cls(data["vertices"], {int(k): v for k, v in data["simplices"].items()})
+        for k, vols in data.get("volumes", {}).items():
+            k, vols = int(k), np.asarray(vols, dtype=float)
+            if k not in cx.volumes or vols.shape != cx.volumes[k].shape \
+                    or not np.all(np.isfinite(vols) & (vols > 0)):
+                raise ValueError(f"bad volumes in degree {k}: need one finite "
+                                 f"value > 0 per {k}-simplex")
+            cx.volumes[k] = vols
+        return cx
 
     @classmethod
     def load(cls, path) -> "SimplicialComplex":
@@ -164,56 +188,87 @@ class SimplicialComplex:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
+_WRAP = 2.0 ** 63
+
+
+def _exact(result: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+    """``result``, an int64 array, checked against ``estimate``, the same sum
+    in float64: a wrapped entry is off by a nonzero multiple of 2^64, the
+    estimate by far less than 2^63."""
+    if np.any(np.abs(result - estimate) >= _WRAP):
+        raise OverflowError("chain coefficient outside the int64 range")
+    return result
+
+
 class IntegerChain:
-    """Sparse integer k-chain on a fixed complex."""
+    """Integer k-chain on a fixed complex.
 
-    complex: SimplicialComplex
-    degree: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+    ``vector`` is a read-only int64 array with one entry per k-simplex.  The
+    constructor takes a mapping {simplex index: coefficient} or a length-n
+    integer array; ``coeffs`` is a read-only dict of the nonzero entries in
+    index order.
+    """
 
-    def __post_init__(self):
-        cleaned = {int(i): int(c) for i, c in self.coeffs.items() if int(c) != 0}
-        n = self.complex.n_simplices(self.degree)
-        for i in cleaned:
-            if not 0 <= i < n:
-                raise ValueError(f"simplex index {i} out of range in degree {self.degree}")
-        object.__setattr__(self, "coeffs", cleaned)
+    __slots__ = ("complex", "degree", "vector")
+
+    def __init__(self, complex: SimplicialComplex, degree: int, coeffs=None):
+        n = complex.n_simplices(degree)
+        if coeffs is None or isinstance(coeffs, Mapping):
+            coeffs = coeffs or {}
+            index = np.fromiter(map(int, coeffs.keys()), dtype=np.int64, count=len(coeffs))
+            if len(index) and not 0 <= index.min() <= index.max() < n:
+                raise ValueError(f"simplex index out of range in degree {degree}")
+            vector = np.zeros(n, dtype=np.int64)
+            vector[index] = np.fromiter(map(int, coeffs.values()), dtype=np.int64,
+                                        count=len(coeffs))
+        else:
+            a = np.asarray(coeffs)
+            if a.shape != (n,) or a.dtype.kind not in "iu":
+                raise ValueError(f"a {degree}-chain needs a mapping or {n} integers")
+            vector = _exact(a.astype(np.int64), a.astype(float))
+        vector.flags.writeable = False
+        self.complex = complex
+        self.degree = degree
+        self.vector = vector
+
+    @property
+    def coeffs(self) -> Mapping[int, int]:
+        nz = np.flatnonzero(self.vector)
+        return MappingProxyType(dict(zip(nz.tolist(), self.vector[nz].tolist())))
+
+    def __repr__(self) -> str:
+        return f"IntegerChain(degree={self.degree}, coeffs={dict(self.coeffs)})"
 
     def __add__(self, other: "IntegerChain") -> "IntegerChain":
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            coeffs[i] = coeffs.get(i, 0) + c
-        return IntegerChain(self.complex, self.degree, coeffs)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "IntegerChain") -> "IntegerChain":
-        return self + (-1) * other
+        return self._combine(other, np.subtract)
 
     def __rmul__(self, scalar: int) -> "IntegerChain":
+        s = np.int64(operator.index(scalar))
         return IntegerChain(self.complex, self.degree,
-                            {i: scalar * c for i, c in self.coeffs.items()})
+                            _exact(s * self.vector, float(s) * self.vector))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerChain)
                 and self.complex is other.complex
                 and self.degree == other.degree
-                and self.coeffs == other.coeffs)
+                and np.array_equal(self.vector, other.vector))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vector.any()
 
     def to_dense(self) -> np.ndarray:
-        v = np.zeros(self.complex.n_simplices(self.degree), dtype=np.int64)
-        for i, c in self.coeffs.items():
-            v[i] = c
-        return v
+        return self.vector.copy()
 
-    def _check_compatible(self, other: "IntegerChain"):
+    def _combine(self, other: "IntegerChain", op) -> "IntegerChain":
         if self.complex is not other.complex:
             raise ValueError("chains live on different complexes")
         if self.degree != other.degree:
             raise ValueError("chains have different degrees")
+        a, b = self.vector, other.vector
+        return IntegerChain(self.complex, self.degree, _exact(op(a, b), op(a.astype(float), b)))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": {str(i): c for i, c in self.coeffs.items()}}
@@ -234,10 +289,9 @@ class ModPClass:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be >= 2")
-        half = self.p / 2.0
-        for c in self.representative.coeffs.values():
-            if abs(c) > half or (abs(c) == half and c < 0):
-                raise ValueError("representative is not reduced mod p")
+        v = self.representative.vector
+        if not np.array_equal(representative_modp(v, self.p), v):
+            raise ValueError("representative is not reduced mod p")
 
     @property
     def degree(self) -> int:
@@ -248,35 +302,26 @@ def boundary(c: IntegerChain) -> IntegerChain:
     if c.degree < 1:
         raise ValueError("no boundary in degree 0")
     mat = c.complex.incidence[c.degree]
-    out: dict[int, int] = {}
-    for j, coeff in c.coeffs.items():
-        for pos in range(mat.indptr[j], mat.indptr[j + 1]):
-            i = int(mat.indices[pos])
-            out[i] = out.get(i, 0) + int(mat.data[pos]) * coeff
-    return IntegerChain(c.complex, c.degree - 1, out)
+    return IntegerChain(c.complex, c.degree - 1,
+                        _exact(mat @ c.vector, mat @ c.vector.astype(float)))
 
 
 def mass(c: IntegerChain) -> float:
-    vols = c.complex.volumes[c.degree]
-    return float(sum(abs(coeff) * vols[i] for i, coeff in c.coeffs.items()))
+    return float(c.complex.volumes[c.degree] @ np.abs(c.vector.astype(float)))
 
 
-def representative_modp(value: int, p: int) -> int:
-    """Representative of value mod p in the half-open interval (-p/2, p/2]."""
+def representative_modp(value, p: int):
+    """Representative of value mod p in the half-open interval (-p/2, p/2];
+    entrywise on an integer array."""
     r = value % p
-    if 2 * r > p:
-        r -= p
-    return r
+    return r - p * (r > p // 2)
 
 
 def reduce_modp(c: IntegerChain, p: int) -> ModPClass:
     if p < 2:
         raise ValueError("p must be >= 2")
-    coeffs = {i: representative_modp(coeff, p) for i, coeff in c.coeffs.items()}
-    return ModPClass(p, IntegerChain(c.complex, c.degree, coeffs))
+    return ModPClass(p, IntegerChain(c.complex, c.degree, representative_modp(c.vector, p)))
 
 
 def is_cycle_modp(c: IntegerChain, p: int) -> bool:
-    if c.degree < 1:
-        raise ValueError("no boundary in degree 0")
-    return all(coeff % p == 0 for coeff in boundary(c).coeffs.values())
+    return not np.any(boundary(c).vector % p)

@@ -205,6 +205,10 @@ class WeightedNetwork:
     weight_id: str
     balance_residuals: dict = field(default_factory=dict)
     p: int = 0
+    # topologies left out (unbalanced mod p, or no start optimized) and starts
+    # that raised ValueError or FloatingPointError; not part of to_json
+    skipped_topologies: int = 0
+    failed_starts: int = 0
 
     def junction_tangents(self, j: int) -> list:
         """(kappa, outgoing unit tangent) for arcs meeting node j."""
@@ -540,7 +544,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
 
     rng = np.random.default_rng(seed)
     best = None
-    skipped = 0
+    skipped = failed = 0
     for edges, njunc in topologies:
         try:
             kappa = tree_multiplicities(edges, n + njunc, mult, p)
@@ -561,6 +565,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
             try:
                 val, x = prob.solve(init.reshape(njunc, 2) if njunc else init)
             except (ValueError, FloatingPointError):
+                failed += 1
                 continue
             if local_best is None or val < local_best[0] - 1e-15:
                 local_best = (val, x)
@@ -602,7 +607,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     junctions = sorted({v for v in (remap[j] for j in range(n, len(nodes)))
                         if v >= n})
     net = WeightedNetwork(nodes, mult, arcs, junctions, float(mass_total),
-                          getattr(metric, "name", "conformal"), {}, p)
+                          getattr(metric, "name", "conformal"), {}, p, skipped, failed)
     for j in junctions:
         tans = net.junction_tangents(j)
         resid = np.zeros(2)

@@ -165,12 +165,12 @@ def grid_square_complex(n: int):
     return SimplicialComplex(verts, {1: edges, 2: tris}), spacing
 
 
-def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> dict:
+def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> IntegerChain:
     """Snap a polyline onto the 1-skeleton of a grid_square_complex.
 
     Points are clamped to the square, snapped to nearest lattice vertices,
     and consecutive snapped vertices are joined by axis/diagonal edge walks.
-    Returns sparse edge coefficients (oriented along the walk).
+    Returns the 1-chain of the walk (edges oriented along it).
     """
     poly = np.asarray(polyline, dtype=float)
     n = int(round(2.0 / spacing))
@@ -179,7 +179,7 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> dict:
     lens = np.linalg.norm(seg, axis=1)
     total = float(lens.sum())
     if total == 0:
-        return {}
+        return cx.chain(1)
     s = np.concatenate([[0.0], np.cumsum(lens)])
     t = np.linspace(0, total, max(2, int(math.ceil(total / (spacing / 3))) + 1))
     dense = np.stack([np.interp(t, s, poly[:, 0]), np.interp(t, s, poly[:, 1])], axis=1)
@@ -187,30 +187,14 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> dict:
     lattice = np.rint((dense + 1.0) / spacing).astype(int)
     lattice = np.clip(lattice, 0, n)
 
-    def v(ij):
-        return int(ij[0]) * (n + 1) + int(ij[1])
-
-    coeffs: dict[int, int] = {}
-
-    def add_edge(a, b):
-        idx, sign = cx.simplex_index((v(a), v(b)))
-        coeffs[idx] = coeffs.get(idx, 0) + sign
-
-    cur = lattice[0]
+    walk = [lattice[0]]
     for nxt in lattice[1:]:
-        while not np.array_equal(cur, nxt):
-            di = int(np.sign(nxt[0] - cur[0]))
-            dj = int(np.sign(nxt[1] - cur[1]))
-            if di != 0 and dj != 0 and di == dj:
-                step = (di, dj)  # diagonal edge exists only along (1,1)
-            elif di != 0:
-                step = (di, 0)
-            else:
-                step = (0, dj)
-            nxt_cell = (cur[0] + step[0], cur[1] + step[1])
-            add_edge(tuple(cur), nxt_cell)
-            cur = np.array(nxt_cell)
-    return {i: c for i, c in coeffs.items() if c != 0}
+        while not np.array_equal(walk[-1], nxt):
+            di, dj = np.sign(nxt - walk[-1])
+            # a diagonal edge exists only along (1, 1)
+            walk.append(walk[-1] + ((di, dj) if di == dj else (di, 0) if di else (0, dj)))
+    ids = (np.array(walk) @ [n + 1, 1]).tolist()
+    return cx.chain_from_simplices(1, zip(ids, ids[1:]))
 
 
 def plane_sample(delta: float, extent: float = 1.5) -> VarifoldSample:

@@ -43,14 +43,16 @@ Region = Optional[dict]
 def _region_indices(W: Region, complex: SimplicialComplex, degree: int) -> np.ndarray:
     if W is None:
         return np.arange(complex.n_simplices(degree))
-    return np.array(sorted(int(i) for i in W.get(degree, ())), dtype=int)
+    return np.unique(np.fromiter(W.get(degree, ()), dtype=np.int64))
 
 
 def restrict_to_region(c: IntegerChain, W: Region) -> IntegerChain:
     if W is None:
         return c
-    keep = set(int(i) for i in W.get(c.degree, ()))
-    return IntegerChain(c.complex, c.degree, {i: v for i, v in c.coeffs.items() if i in keep})
+    keep = _region_indices(W, c.complex, c.degree)
+    v = np.zeros_like(c.vector)
+    v[keep] = c.vector[keep]
+    return IntegerChain(c.complex, c.degree, v)
 
 
 def mass_in_region(c: IntegerChain, W: Region) -> float:
@@ -152,10 +154,10 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     wr = _region_indices(W, cx, k)
     wz = _region_indices(W, cx, k + 1) if has_z else np.array([], dtype=int)
     if (len(wr) == 0 and len(wz) == 0) or T.is_zero():
-        zero_z = IntegerChain(cx, k + 1, {}) if has_z else None
-        return FlatDecomposition(T, zero_z, IntegerChain(cx, k, {}), 0.0, W, nodes=0)
+        zero_z = cx.chain(k + 1) if has_z else None
+        return FlatDecomposition(T, zero_z, cx.chain(k), 0.0, W, nodes=0)
 
-    t_dense = T.to_dense().astype(float)
+    t_dense = T.vector.astype(float)
     B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
          else sparse.csr_matrix((npi, 0)))
     half = p // 2
@@ -182,14 +184,11 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     ub = np.concatenate([np.full(nz, half), bpi, np.full(n_aux, np.inf)])
     integrality = np.concatenate([np.ones(nint), np.zeros(n_aux)])
     x, nodes, gap = _solve_milp(c_obj, A_ub, -np.inf, b_ub, lb, ub, integrality, time_limit)
-    zc = IntegerChain(cx, k + 1, _int_coeffs(x[:nz])) if has_z else None
-    pic = IntegerChain(cx, k, _int_coeffs(x[nz:nint]))
+    x = x[:nint].astype(np.int64)
+    zc = IntegerChain(cx, k + 1, x[:nz]) if has_z else None
+    pic = IntegerChain(cx, k, x[nz:])
     val, R = _exact_value(T, zc, pic, p, W)
     return FlatDecomposition(R, zc, pic, val, W, nodes=nodes, optimality_gap=gap)
-
-
-def _int_coeffs(x) -> dict:
-    return {i: int(v) for i, v in enumerate(x)}
 
 
 def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None) -> float:
@@ -218,11 +217,11 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     from scipy.sparse.csgraph import dijkstra
 
     cx = b.representative.complex
-    terminals, mult = zip(*sorted(b.representative.coeffs.items()))
+    terminals = np.flatnonzero(b.representative.vector)
     n_v = cx.n_simplices(0)
     full = (1 << len(terminals)) - 1
-    residue = [representative_modp(sum(m for i, m in enumerate(mult) if s >> i & 1), p)
-               for s in range(full + 1)]
+    bits = np.arange(full + 1)[:, None] >> np.arange(len(terminals)) & 1
+    residue = representative_modp(bits @ b.representative.vector[terminals], p).tolist()
     infeasible = ValueError("infeasible: the boundary data does not bound mod p")
     if residue[full] != 0:
         raise infeasible
@@ -282,13 +281,17 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
         elif split[s, v]:
             s1 = int(split[s, v])
             stack += [(s1, v), (s ^ s1, v)]
-    nz = np.flatnonzero(coeffs)
-    chain = reduce_modp(IntegerChain(cx, 1, dict(zip(nz.tolist(), coeffs[nz].tolist()))),
+    return _plateau_solution(b, p, coeffs, 0.0, full + 1)
+
+
+def _plateau_solution(b: ModPClass, p: int, coeffs: np.ndarray, gap: float,
+                      nodes: int) -> PlateauSolution:
+    """The reduced chain with these coefficients, checked to bound b mod p."""
+    chain = reduce_modp(IntegerChain(b.representative.complex, b.degree + 1, coeffs),
                         p).representative
-    diff = boundary(chain) - b.representative
-    if any(c % p != 0 for c in diff.coeffs.values()):
+    if reduce_modp(boundary(chain), p) != b:
         raise RuntimeError("solver returned a chain that does not bound the class")
-    return PlateauSolution(chain, mass(chain), b, 0.0, nodes=full + 1)
+    return PlateauSolution(chain, mass(chain), b, gap, nodes=nodes)
 
 
 def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolution:
@@ -308,8 +311,8 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     if k > cx.dim:
         raise ValueError("no simplices one degree above the boundary class")
     if b.representative.is_zero():
-        return PlateauSolution(IntegerChain(cx, k, {}), 0.0, b, 0.0, nodes=0)
-    if b.degree == 0 and len(b.representative.coeffs) <= 8:
+        return PlateauSolution(cx.chain(k), 0.0, b, 0.0, nodes=0)
+    if b.degree == 0 and np.count_nonzero(b.representative.vector) <= 8:
         return _plateau_steiner_dp(b, p)
     return _plateau_milp(b, p, time_limit)
 
@@ -329,7 +332,7 @@ def _plateau_milp(b: ModPClass, p: int, time_limit: float) -> PlateauSolution:
     n = cx.n_simplices(k)
     nb = cx.n_simplices(k - 1)
     B = cx.incidence[k].astype(float)
-    b_dense = b.representative.to_dense().astype(float)
+    b_dense = b.representative.vector.astype(float)
     half = p // 2
     vols = cx.volumes[k]
 
@@ -343,12 +346,7 @@ def _plateau_milp(b: ModPClass, p: int, time_limit: float) -> PlateauSolution:
     ub = np.concatenate([np.full(2 * n, float(half)), y_bound])
     x, nodes, gap = _solve_milp(c_obj, A, b_dense, b_dense, lb, ub,
                                 np.ones(2 * n + nb), time_limit)
-
-    chain = reduce_modp(IntegerChain(cx, k, _int_coeffs(x[:n] - x[n:2 * n])), p).representative
-    diff = boundary(chain) - b.representative
-    if any(c % p != 0 for c in diff.coeffs.values()):
-        raise RuntimeError("solver returned a chain that does not bound the class")
-    return PlateauSolution(chain, mass(chain), b, gap, nodes=nodes)
+    return _plateau_solution(b, p, (x[:n] - x[n:2 * n]).astype(np.int64), gap, nodes)
 
 
 def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = None) -> float:
@@ -366,7 +364,7 @@ def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = Non
     if (2 * bound + 1) ** nz > 10 ** 7:
         raise ValueError("complex too large for brute force")
 
-    t_dense = T.to_dense().astype(float)
+    t_dense = T.vector.astype(float)
     B = cx.incidence[k + 1].toarray().astype(float) if has_z else None
     vol_r = cx.volumes[k]
     vol_z = cx.volumes[k + 1] if has_z else None

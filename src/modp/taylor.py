@@ -297,35 +297,19 @@ LADDER_GRID_N = 32
 
 def _flat_ladder(R: RevolvedCurrent, circle, radii):
     from .fixtures import grid_square_complex, rasterize_polyline
+    from .flatnorm import flat_norm_modp
 
     cx, spacing = grid_square_complex(LADDER_GRID_N)
     junction = np.array([circle["x"], circle["y"]])
     inside = np.linalg.norm(cx.vertices, axis=1) <= 0.85
     ball = {k: np.flatnonzero(inside[np.array(cx.simplices[k])].all(axis=1))
             for k in (1, 2)}
-    from .flatnorm import flat_norm_modp
-
+    rays = [np.vstack([np.zeros(2), 2.0 * np.asarray(tau)]) for tau in circle["tangents"]]
+    S = sum((k * rasterize_polyline(cx, spacing, ray)
+             for ray, k in zip(rays, circle["multiplicities"])), cx.chain(1))
     out = []
     for r in radii:
-        coeffs_T: dict[int, int] = {}
-        for arc in R.generator.arcs:
-            if arc.kappa == 0:
-                continue
-            scaled = (arc.polyline - junction) / r
-            _accumulate(coeffs_T, rasterize_polyline(cx, spacing, scaled), arc.kappa)
-        coeffs_S: dict[int, int] = {}
-        for tau, k in zip(circle["tangents"], circle["multiplicities"]):
-            ray = np.vstack([np.zeros(2), 2.0 * np.asarray(tau)])
-            _accumulate(coeffs_S, rasterize_polyline(cx, spacing, ray), k)
-        from .complexes import IntegerChain
-
-        T = IntegerChain(cx, 1, coeffs_T)
-        S = IntegerChain(cx, 1, coeffs_S)
-        dec = flat_norm_modp(T - S, R.p, ball)
-        out.append(dec.value)
+        T = sum((arc.kappa * rasterize_polyline(cx, spacing, (arc.polyline - junction) / r)
+                 for arc in R.generator.arcs if arc.kappa), cx.chain(1))
+        out.append(flat_norm_modp(T - S, R.p, ball).value)
     return out
-
-
-def _accumulate(target: dict, coeffs: dict, kappa: int):
-    for i, c in coeffs.items():
-        target[i] = target.get(i, 0) + kappa * c

@@ -8,6 +8,7 @@ side 2^-(k+M), so ordering and distance checks are integer comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,20 +98,9 @@ class WhitneyDecomposition:
         return WhitneyCube(self.m, self.M, k, i, j)
 
     def cubes(self, k: int):
-        width = self.lattice_width(k)
-        idx = [0] * (self.m - 1)
-        while True:
+        for j in _lattice(self.lattice_width(k), self.m - 1):
             for i in range(self.rows()):
-                yield WhitneyCube(self.m, self.M, k, i, tuple(idx))
-            pos = 0
-            while pos < self.m - 1:
-                idx[pos] += 1
-                if idx[pos] < width:
-                    break
-                idx[pos] = 0
-                pos += 1
-            else:
-                return
+                yield WhitneyCube(self.m, self.M, k, i, j)
 
     def all_cubes(self):
         for k in range(self.depth):
@@ -174,14 +164,11 @@ def whitney_domain(excess_fn, tau: float, decomposition: WhitneyDecomposition) -
     dec = decomposition
     tau2 = tau * tau
     members: set = set()
-    ok_here: dict = {}
     for k in range(dec.depth):
-        width = dec.lattice_width(k)
-        for j in _lattice_iter(width, dec.m - 1):
+        for j in _lattice(dec.lattice_width(k), dec.m - 1):
             cube = dec.cube(k, 0, j)
             radius = dec.mbar() * cube.d_Q  # = 2^(-k+2)
             good = excess_fn(cube.y_center, radius) < tau2
-            ok_here[(k, j)] = good
             parent_ok = True if k == 0 else \
                 (k - 1, tuple(v >> 1 for v in j)) in members
             if good and parent_ok:
@@ -189,22 +176,9 @@ def whitney_domain(excess_fn, tau: float, decomposition: WhitneyDecomposition) -
     return WhitneyDomain(dec, tau, members)
 
 
-def _lattice_iter(width: int, dims: int):
-    if dims == 0:
-        yield ()
-        return
-    idx = [0] * dims
-    while True:
-        yield tuple(idx)
-        pos = 0
-        while pos < dims:
-            idx[pos] += 1
-            if idx[pos] < width:
-                break
-            idx[pos] = 0
-            pos += 1
-        else:
-            return
+def _lattice(width: int, dims: int):
+    """Points of {0..width-1}^dims, first axis fastest."""
+    return (j[::-1] for j in itertools.product(range(width), repeat=dims))
 
 
 def rho_and_region(W: WhitneyDomain):
@@ -333,7 +307,7 @@ def _selection_report(dec, hbar, Q_hat, kappa0, trajectory):
             hit_sums[q] = hit_sums.get(q, 0.0) + ratio
             if q[0] == k0:
                 same_layer[q] = same_layer.get(q, 0) + 1
-            elif _key_below(key, q):
+            elif is_below(WhitneyCube(dec.m, dec.M, *key), WhitneyCube(dec.m, dec.M, *q)):
                 below_tail[q] = below_tail.get(q, 0.0) + ratio
             else:
                 path_tail[q] = path_tail.get(q, 0.0) + ratio
@@ -346,12 +320,3 @@ def _selection_report(dec, hbar, Q_hat, kappa0, trajectory):
         "max_total": max(hit_sums.values(), default=0.0),
         "below_tail_ok": max(below_tail.values(), default=0.0) <= tail_bound + 1e-12,
     }
-
-
-def _key_below(Q0_key, Q_key) -> bool:
-    k0, _, j0 = Q0_key
-    k, _, j = Q_key
-    if k0 < k:
-        return False
-    shift = k0 - k
-    return all((a >> shift) == b for a, b in zip(j0, j))

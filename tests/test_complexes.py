@@ -83,9 +83,34 @@ def test_chain_json_round_trip(triangle):
 
 def test_complex_json_round_trip():
     cx = fixtures.strip_complex(3)
+    assert "volumes" not in cx.to_json()
     back = modp.SimplicialComplex.from_json(cx.to_json())
     assert back.simplices == cx.simplices
     np.testing.assert_allclose(back.vertices, cx.vertices)
+
+
+def test_json_round_trip_keeps_reweighted_volumes():
+    # the Plateau call of acceptance criterion 6, on the mesh and on its JSON copy
+    cx, _ = fixtures.half_plane_mesh(0.2, modp.WeightedMetric("x"))
+    data = json.loads(json.dumps(cx.to_json()))
+    assert list(data["volumes"]) == ["1"]
+    back = modp.SimplicialComplex.from_json(data)
+    for k in cx.volumes:
+        np.testing.assert_array_equal(back.volumes[k], cx.volumes[k])
+    angles = np.radians([-40.0, 0.0, 40.0])
+    verts = [fixtures.snap_to_vertex(cx, (math.cos(a), math.sin(a))) for a in angles]
+    masses = [modp.plateau_modp(modp.reduce_modp(
+        modp.IntegerChain(c, 0, {v: 1 for v in verts}), 3), 3).mass for c in (cx, back)]
+    assert masses[0] == masses[1] == pytest.approx(1.1605, abs=1e-4)
+
+
+@pytest.mark.parametrize("volumes", [{"1": [1.0]}, {"1": [1.0, float("nan"), 1.0]},
+                                     {"1": [1.0, 0.0, 1.0]}, {"3": []}],
+                         ids=["length", "nan", "zero", "degree"])
+def test_complex_json_rejects_bad_volumes(volumes):
+    cx, _ = fixtures.triangle_complex()
+    with pytest.raises(ValueError, match="bad volumes"):
+        modp.SimplicialComplex.from_json({**cx.to_json(), "volumes": volumes})
 
 
 def test_incidence_is_sparse_and_consistent():
@@ -207,3 +232,86 @@ def _json_digest(cx, volumes=False):
 ], ids=["disk_mesh", "grid_square", "strip", "half_plane"])
 def test_generated_meshes_are_pinned(build, volumes, digest):
     assert _json_digest(build(), volumes) == digest
+
+
+_INT64 = range(-2 ** 63, 2 ** 63)
+_CHAIN_COMPLEXES = [fixtures.triangle_complex()[0], fixtures.strip_complex(4),
+                    fixtures.disk_mesh(0.45)[0]]
+
+
+def _ref_combination(a, b, s):
+    """a + s * b on dict chains, zeros dropped, in index order."""
+    out = dict(a)
+    for i, c in b.items():
+        out[i] = out.get(i, 0) + s * c
+    return {i: out[i] for i in sorted(out) if out[i]}
+
+
+def _ref_boundary(cx, k, a):
+    mat = cx.incidence[k]
+    out = {}
+    for j, c in a.items():
+        for pos in range(mat.indptr[j], mat.indptr[j + 1]):
+            i = int(mat.indices[pos])
+            out[i] = out.get(i, 0) + int(mat.data[pos]) * c
+    return {i: out[i] for i in sorted(out) if out[i]}
+
+
+def _check(compute, ref):
+    """``compute()`` has coefficients ``ref``, or raises OverflowError when a
+    coefficient of ``ref`` leaves int64."""
+    if all(c in _INT64 for c in ref.values()):
+        assert compute().coeffs == ref
+    else:
+        with pytest.raises(OverflowError):
+            compute()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_chain_operations_match_dict_reference(data):
+    cx = data.draw(st.sampled_from(_CHAIN_COMPLEXES))
+    k = data.draw(st.integers(1, cx.dim))
+    # small values, and values near the int64 limits where sums can wrap
+    size = data.draw(st.sampled_from([3, 2 ** 20, 2 ** 62]))
+    values = st.integers(-size, size) | st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 62])
+    chains = st.dictionaries(st.integers(0, cx.n_simplices(k) - 1), values.filter(bool))
+    a, b = data.draw(chains), data.draw(chains)
+    s = data.draw(st.integers(-5, 5))
+    p = data.draw(st.integers(2, 12))
+    A, B = modp.IntegerChain(cx, k, a), modp.IntegerChain(cx, k, b)
+
+    assert A.coeffs == _ref_combination({}, a, 1)
+    assert list(A.coeffs) == sorted(a)
+    np.testing.assert_array_equal(A.to_dense()[list(a)], list(a.values()))
+    _check(lambda: A + B, _ref_combination(a, b, 1))
+    _check(lambda: A - B, _ref_combination(a, b, -1))
+    _check(lambda: s * A, _ref_combination({}, a, s))
+    d = _ref_boundary(cx, k, a)
+    _check(lambda: modp.boundary(A), d)
+    assert modp.mass(A) == pytest.approx(
+        sum(abs(c) * cx.volumes[k][i] for i, c in a.items()), rel=1e-12)
+    red = {i: modp.representative_modp(c, p) for i, c in a.items()}
+    assert modp.reduce_modp(A, p).representative.coeffs == _ref_combination({}, red, 1)
+    if all(c in _INT64 for c in d.values()):
+        assert modp.is_cycle_modp(A, p) == all(c % p == 0 for c in d.values())
+    if all(p * c in _INT64 for c in a.values()):
+        assert modp.is_cycle_modp(p * A, p)
+
+
+def test_chain_overflow_raises():
+    cx, _ = fixtures.triangle_complex()
+    big = modp.IntegerChain(cx, 1, {0: 2 ** 63 - 1, 1: -2 ** 63})
+    for make in (lambda: modp.IntegerChain(cx, 1, {0: 2 ** 63}),
+                 lambda: modp.IntegerChain(cx, 1, np.array([2 ** 63, 0, 0], dtype=np.uint64)),
+                 lambda: big + big,
+                 lambda: big - modp.IntegerChain(cx, 1, {1: 1}),
+                 lambda: 2 * big,
+                 lambda: -1 * big,
+                 lambda: modp.boundary(big)):
+        with pytest.raises(OverflowError):
+            make()
+    assert (big - big).is_zero()
+    assert modp.mass(big) == pytest.approx(2.0 ** 63 * (1 + math.sqrt(2)))  # edge 1 is the hypotenuse
+    with pytest.raises(ValueError):
+        big.vector[0] = 0  # read-only

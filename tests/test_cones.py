@@ -134,6 +134,36 @@ def test_solve_network_matches_fermat_point_on_random_triangles():
         assert all(r < 1e-6 for r in net.balance_residuals.values())
 
 
+class _UndefinedNearOrigin:
+    """Unit weight that raises FloatingPointError within 0.2 of the origin."""
+
+    name = "undefined-near-origin"
+
+    def w(self, pts):
+        pts = np.atleast_2d(pts)
+        if np.any(np.linalg.norm(pts, axis=1) < 0.2):
+            raise FloatingPointError("weight undefined near the origin")
+        return np.ones(len(pts))
+
+    def grad_w(self, pts):
+        return np.zeros_like(np.atleast_2d(pts))
+
+
+def test_solve_network_reports_skipped_topologies_and_failed_starts():
+    terms = [((0.0, 1.0), 1), ((-math.sqrt(3) / 2, -0.5), 1), ((math.sqrt(3) / 2, -0.5), 1)]
+    net = modp.solve_network(terms, 3)
+    # with balanced terminals every tree topology balances mod p
+    assert (net.skipped_topologies, net.failed_starts) == (0, 0)
+    # the one Steiner topology starts its junction at the origin, where the
+    # weight raises; the three spanning trees stay 0.5 away from it
+    net = modp.solve_network(terms, 3, weight=_UndefinedNearOrigin())
+    assert (net.skipped_topologies, net.failed_starts) == (1, 3)
+    assert net.junctions == []
+    assert net.mass == pytest.approx(2 * math.sqrt(3), abs=1e-6)
+    assert "skipped_topologies" not in net.to_json()
+    assert "failed_starts" not in net.to_json()
+
+
 def test_collinear_terminals_have_no_junction():
     net = modp.solve_network([((0.0, 0.0), 1), ((1.0, 0.0), 1), ((2.0, 0.0), 1)], 3)
     assert net.junctions == []

@@ -18,6 +18,14 @@ def test_layer_counts_match_closed_form():
                 assert sum(1 for _ in dec.cubes(k)) == dec.layer_count(k)
 
 
+def test_cubes_run_first_axis_fastest():
+    # the row order of ``modp whitney --csv``
+    dec = modp.build_decomposition(3, 1, 1)
+    keys = [(Q.i, Q.j) for Q in dec.cubes(0)]
+    assert keys[:5] == [(0, (0, 0)), (1, (0, 0)), (0, (1, 0)), (1, (1, 0)), (0, (2, 0))]
+    assert keys[-1] == (1, (7, 7))
+
+
 def test_frozen_counts_m2_M2():
     dec = modp.build_decomposition(2, 2, 3)
     assert dec.layer_count(0) == 64

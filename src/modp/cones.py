@@ -205,8 +205,8 @@ class WeightedNetwork:
     weight_id: str
     balance_residuals: dict = field(default_factory=dict)
     p: int = 0
-    # topologies left out (unbalanced mod p, or no start optimized) and starts
-    # that raised ValueError or FloatingPointError; not part of to_json
+    # topologies whose every start failed, and starts that raised ValueError
+    # or FloatingPointError; not part of to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
 
@@ -332,7 +332,8 @@ def tree_multiplicities(edges, n_nodes, terminal_mult, p):
     Each arc oriented a -> b carries kappa with boundary +kappa at b and
     -kappa at a; the prescribed signed sum at node v is terminal_mult[v]
     (0 at junctions).  On a tree the solution is unique mod p; the reduced
-    representative in (-p/2, p/2] is returned per edge.
+    representative in (-p/2, p/2] is returned per edge.  Raises
+    ``ValueError`` when the prescribed sum over a component is not 0 mod p.
     """
     adj = {v: [] for v in range(n_nodes)}
     for idx, (a, b) in enumerate(edges):
@@ -344,6 +345,9 @@ def tree_multiplicities(edges, n_nodes, terminal_mult, p):
     degree = {v: len(adj[v]) for v in range(n_nodes)}
     pending = [v for v in range(n_nodes) if degree[v] == 1]
     removed = [False] * len(edges)
+    # a leaf hands its residual on to its neighbour; the node where the
+    # elimination of a component ends keeps the residual of that component
+    handed_on = [False] * n_nodes
     while pending:
         v = pending.pop()
         live = [(u, idx, s) for u, idx, s in adj[v] if not removed[idx]]
@@ -353,13 +357,13 @@ def tree_multiplicities(edges, n_nodes, terminal_mult, p):
         # s = +1 when v is the head (b) of the edge
         kappa[idx] = representative_modp(s * need[v], p)
         need[u] = (need[u] + need[v]) % p
+        handed_on[v] = True
         removed[idx] = True
         degree[u] -= 1
         degree[v] -= 1
         if degree[u] == 1:
             pending.append(u)
-    root_residual = [need[v] % p for v in range(n_nodes) if degree[v] > 0]
-    if any(r != 0 for r in root_residual):
+    if any(need[v] % p for v in range(n_nodes) if not handed_on[v]):
         raise ValueError("multiplicities do not balance mod p")
     return kappa
 
@@ -546,11 +550,8 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     best = None
     skipped = failed = 0
     for edges, njunc in topologies:
-        try:
-            kappa = tree_multiplicities(edges, n + njunc, mult, p)
-        except ValueError:
-            skipped += 1
-            continue
+        # every topology is a tree, so the sum check above balances it
+        kappa = tree_multiplicities(edges, n + njunc, mult, p)
         prob = _TopologyProblem(list(edges), kappa, pts, metric, k_interior)
         centroid = pts.mean(axis=0)
         inits = [np.tile(centroid, njunc)]

@@ -10,6 +10,7 @@ x*(dx^2 + dy^2), i.e. w(x) = sqrt(x), are supported.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -150,6 +151,15 @@ def _resample(poly: np.ndarray, step: float) -> np.ndarray:
 
 
 def _revolve_sample(net: WeightedNetwork, delta: float) -> VarifoldSample:
+    """Revolve the weighted arcs about the y-axis into a varifold sample.
+
+    Each nonzero segment of an arc resampled at spacing ``delta``, with
+    midpoint (x, y), becomes a ring of n = max(16, round(2 pi x / delta))
+    points at the centres of n equal angular cells.  Each point has weight
+    |kappa| * 2 pi x * (segment length) / n and the frame (segment tangent
+    turned by its angle, circle direction).  Rings follow arcs and segments
+    in order, and points within a ring follow the angle.
+    """
     pts, wts, frames = [], [], []
     for arc in net.arcs:
         if arc.kappa == 0:
@@ -157,21 +167,22 @@ def _revolve_sample(net: WeightedNetwork, delta: float) -> VarifoldSample:
         poly = _resample(arc.polyline, delta)
         seg = np.diff(poly, axis=0)
         lens = np.linalg.norm(seg, axis=1)
-        mids = 0.5 * (poly[:-1] + poly[1:])
-        taus = seg / np.maximum(lens, 1e-300)[:, None]
-        for (xm, ym), dl, (tx, ty) in zip(mids, lens, taus):
-            if dl == 0:
-                continue
-            nphi = max(16, int(round(2 * math.pi * xm / delta)))
-            phis = (np.arange(nphi) + 0.5) * (2 * math.pi / nphi)
-            ring_w = abs(arc.kappa) * (2 * math.pi * xm * dl) / nphi
-            for phi in phis:
-                c, s = math.cos(phi), math.sin(phi)
-                pts.append((xm * c, xm * s, ym))
-                wts.append(ring_w)
-                frames.append([[tx * c, tx * s, ty], [-s, c, 0.0]])
-    return VarifoldSample(np.array(pts), np.array(wts), 2,
-                          tangents=np.array(frames), delta=delta)
+        keep = lens != 0
+        dl = lens[keep]
+        xm, ym = (0.5 * (poly[:-1] + poly[1:]))[keep].T
+        tx, ty = (seg[keep] / dl[:, None]).T
+        nphi = np.maximum(16, np.rint(2 * math.pi * xm / delta).astype(np.int64))
+        ring = np.repeat(np.arange(len(nphi)), nphi)
+        first = np.cumsum(nphi) - nphi
+        phi = (np.arange(len(ring)) - first[ring] + 0.5) * (2 * math.pi / nphi)[ring]
+        c, s = np.cos(phi), np.sin(phi)
+        wts.append((abs(arc.kappa) * (2 * math.pi * xm * dl) / nphi)[ring])
+        xm, ym, tx, ty = xm[ring], ym[ring], tx[ring], ty[ring]
+        pts.append(np.stack([xm * c, xm * s, ym], axis=1))
+        frames.append(np.stack([tx * c, tx * s, ty, -s, c, np.zeros_like(c)],
+                               axis=1).reshape(-1, 2, 3))
+    return VarifoldSample(np.concatenate(pts), np.concatenate(wts), 2,
+                          tangents=np.concatenate(frames), delta=delta)
 
 
 def _single_geodesic_residual(terminals: np.ndarray, metric: WeightedMetric) -> float:
@@ -266,7 +277,11 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
     top-rung r^(1/2) upper bound an equality.  The flat distance column
     compares the rescaled generator network with its tangent rays on the
     fixed ``LADDER_GRID_N``-square triangulated grid, localized away from the
-    clipping boundary.
+    clipping boundary; ``flat_gap`` is that flat norm's ``optimality_gap``,
+    positive when its solve stopped at the time limit (both are None without
+    the flat ladder).  The rungs of the flat ladder are independent integer
+    programs and run concurrently, one thread per rung up to the number of
+    CPUs this process may use; there is no option for it.
     """
     q = np.asarray(q, dtype=float)
     circle = _nearest_circle(R, q)
@@ -276,15 +291,14 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
     r0 = radii[0]
     e0 = excess(R.sample, book, q, r0)
     c_excess = e0 / math.sqrt(r0) if r0 > 0 else 0.0
-    flats = _flat_ladder(R, circle, radii) if with_flat \
-        else [None] * len(radii)
-    f0 = flats[0] if with_flat else None
-    c_flat = (f0 / r0 ** 0.25) if with_flat and f0 is not None else None
+    flats = _flat_ladder(R, circle, radii) if with_flat else [None] * len(radii)
+    c_flat = flats[0].value / r0 ** 0.25 if with_flat else None
     for r, fl in zip(radii, flats):
         rows.append({
             "r": r,
             "excess": excess(R.sample, book, q, r),
-            "flat_distance": fl,
+            "flat_distance": None if fl is None else fl.value,
+            "flat_gap": None if fl is None else fl.optimality_gap,
             "fitted_C": c_excess,
             "fitted_C_flat": c_flat,
         })
@@ -295,7 +309,21 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
 LADDER_GRID_N = 32
 
 
-def _flat_ladder(R: RevolvedCurrent, circle, radii):
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _flat_ladder(R: RevolvedCurrent, circle, radii) -> list:
+    """The flat decomposition of each rung, in the order of ``radii``.
+
+    HiGHS releases the interpreter lock while it solves, so the rungs run on
+    a thread pool; an exception raised in a rung is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .fixtures import grid_square_complex, rasterize_polyline
     from .flatnorm import flat_norm_modp
 
@@ -307,9 +335,11 @@ def _flat_ladder(R: RevolvedCurrent, circle, radii):
     rays = [np.vstack([np.zeros(2), 2.0 * np.asarray(tau)]) for tau in circle["tangents"]]
     S = sum((k * rasterize_polyline(cx, spacing, ray)
              for ray, k in zip(rays, circle["multiplicities"])), cx.chain(1))
-    out = []
-    for r in radii:
+
+    def rung(r):
         T = sum((arc.kappa * rasterize_polyline(cx, spacing, (arc.polyline - junction) / r)
                  for arc in R.generator.arcs if arc.kappa), cx.chain(1))
-        out.append(flat_norm_modp(T - S, R.p, ball).value)
-    return out
+        return flat_norm_modp(T - S, R.p, ball)
+
+    with ThreadPoolExecutor(max_workers=min(len(radii), _usable_cpus())) as pool:
+        return list(pool.map(rung, radii))

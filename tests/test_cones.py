@@ -104,6 +104,12 @@ def test_tree_multiplicities_path():
     assert m1 % 3 == 1             # node 2
 
 
+def test_tree_multiplicities_rejects_unbalanced_data():
+    # the edge 0 -> 1 has boundary (-1, +1), so no multiplicity gives (1, 1) mod 3
+    with pytest.raises(ValueError, match="balance"):
+        modp.tree_multiplicities([(0, 1)], 2, [1, 1], 3)
+
+
 def test_solve_network_equilateral():
     net = modp.solve_network(
         [((0.0, 1.0), 1),

@@ -1,5 +1,6 @@
 """Rotationally symmetric weighted-network example and its decay scans."""
 
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +104,45 @@ def test_junction_balances_exact_arc_tangents(taylor_p3):
     assert np.linalg.norm(resid) < 1e-5
 
 
+def _revolve_loop(net, delta):
+    """Reference for ``_revolve_sample``: one ring per resampled segment,
+    point by point."""
+    from modp.taylor import _resample
+
+    pts, wts, frames = [], [], []
+    for arc in net.arcs:
+        if arc.kappa == 0:
+            continue
+        poly = _resample(arc.polyline, delta)
+        for a, b in zip(poly[:-1], poly[1:]):
+            dl = float(np.linalg.norm(b - a))
+            if dl == 0:
+                continue
+            (xm, ym), (tx, ty) = 0.5 * (a + b), (b - a) / dl
+            nphi = max(16, int(round(2 * math.pi * xm / delta)))
+            for i in range(nphi):
+                phi = (i + 0.5) * (2 * math.pi / nphi)
+                c, s = math.cos(phi), math.sin(phi)
+                pts.append((xm * c, xm * s, ym))
+                wts.append(abs(arc.kappa) * (2 * math.pi * xm * dl) / nphi)
+                frames.append([[tx * c, tx * s, ty], [-s, c, 0.0]])
+    return np.array(pts), np.array(wts), np.array(frames)
+
+
+def test_revolve_sample_matches_point_loop():
+    from modp.taylor import _revolve_sample
+
+    terminals = [((math.cos(math.radians(a)), math.sin(math.radians(a))), 1)
+                 for a in (-40.0, 0.0, 40.0)]
+    net = modp.solve_network(terminals, 3, weight=modp.WeightedMetric("x"), k_interior=8)
+    sample = _revolve_sample(net, 0.04)
+    pts, wts, frames = _revolve_loop(net, 0.04)
+    assert sample.points.shape == pts.shape and sample.tangents.shape == frames.shape
+    np.testing.assert_allclose(sample.points, pts, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sample.weights, wts, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sample.tangents, frames, rtol=0, atol=1e-14)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         modp.build_taylor_example(2, [0.0, 30.0])
@@ -124,7 +164,7 @@ def test_decay_scan_rows_without_flat(taylor_p3):
     q = (c["x"], 0.0, c["y"])
     rows = modp.decay_scan(taylor_p3, q, [0.2, 0.1], with_flat=False)
     assert [row["r"] for row in rows] == [0.2, 0.1]
-    assert all(row["flat_distance"] is None for row in rows)
+    assert all(row["flat_distance"] is None and row["flat_gap"] is None for row in rows)
     assert rows[0]["excess"] >= rows[1]["excess"] >= 0.0
 
 
@@ -138,6 +178,35 @@ def test_flat_ladder_values_are_pinned(taylor_p3):
                 0.005859375000000002, 0.005859375000000002]
     np.testing.assert_allclose([row["flat_distance"] for row in rows], expected,
                                rtol=0, atol=1e-12)
+    assert all(row["flat_gap"] <= 1e-9 for row in rows)
+
+
+def test_concurrent_flat_ladder_equals_sequential_rungs(taylor_p3):
+    # a one-rung ladder runs its single flat norm alone on one worker
+    c = taylor_p3.singular_circles[0]
+    q = (c["x"], 0.0, c["y"])
+    radii = [0.2, 0.1, 0.05, 0.025]
+    ladder = modp.decay_scan(taylor_p3, q, radii)
+    alone = [modp.decay_scan(taylor_p3, q, [r])[0] for r in radii]
+    assert [row["flat_distance"] for row in ladder] == \
+        [row["flat_distance"] for row in alone]
+    assert [row["flat_gap"] for row in ladder] == [row["flat_gap"] for row in alone]
+
+
+def test_decay_scan_raises_what_a_rung_raises(taylor_p3, monkeypatch):
+    from modp import flatnorm
+
+    calls = itertools.count()
+
+    def flat_norm(T, p, W=None):
+        if next(calls) == 1:
+            raise RuntimeError("rung failed")
+        return flatnorm.FlatDecomposition(T, None, T, 0.0, W)
+
+    monkeypatch.setattr(flatnorm, "flat_norm_modp", flat_norm)
+    c = taylor_p3.singular_circles[0]
+    with pytest.raises(RuntimeError, match="rung failed"):
+        modp.decay_scan(taylor_p3, (c["x"], 0.0, c["y"]), [0.2, 0.1, 0.05, 0.025])
 
 
 def test_decay_scan_rejects_far_point(taylor_p3):

@@ -5,7 +5,6 @@ multiplicities, under the euclidean or a conformal metric.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 BALANCE_TOL = 1e-9
-JUNCTION_MERGE_TOL = 1e-8
+JUNCTION_MERGE_TOL = 1e-4
 
 
 @dataclass
@@ -200,13 +199,13 @@ class WeightedNetwork:
     nodes: np.ndarray  # (n_nodes, 2); terminals first
     terminal_multiplicities: list
     arcs: list
-    junctions: list  # node indices of free junctions
+    junctions: list  # node indices of junctions; each has at least three live arcs
     mass: float
     weight_id: str
     balance_residuals: dict = field(default_factory=dict)
     p: int = 0
-    # topologies whose every start failed, and starts that raised ValueError
-    # or FloatingPointError; not part of to_json
+    # topologies whose every start failed, and starts (contraction re-solves
+    # included) that raised ValueError or FloatingPointError; not in to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
 
@@ -295,35 +294,6 @@ def _full_topologies(n: int):
 
     insert([(0, 1)], 0, 2)
     return out
-
-
-def _spanning_trees(n: int):
-    """All labelled trees on the terminal set, via Pruefer sequences."""
-    if n == 1:
-        return [()]
-    if n == 2:
-        return [((0, 1),)]
-    trees = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        avail = sorted(range(n))
-        seq_list = list(seq)
-        deg = degree[:]
-        for v in seq_list:
-            for leaf in avail:
-                if deg[leaf] == 1:
-                    edges.append((min(leaf, v), max(leaf, v)))
-                    deg[leaf] -= 1
-                    deg[v] -= 1
-                    avail.remove(leaf)
-                    break
-        last = [u for u in avail if deg[u] >= 1]
-        edges.append((min(last), max(last)))
-        trees.append(tuple(sorted(edges)))
-    return sorted(set(trees))
 
 
 def tree_multiplicities(edges, n_nodes, terminal_mult, p):
@@ -447,7 +417,7 @@ class _TopologyProblem:
         self.kappa = kappa
         self.terminals = np.asarray(terminals, dtype=float)
         self.n_term = len(terminals)
-        self.n_nodes = max(max(e) for e in edges) + 1 if edges else self.n_term
+        self.n_nodes = max([self.n_term] + [max(e) + 1 for e in edges])
         self.n_junc = self.n_nodes - self.n_term
         self.metric = metric
         self.curved = metric.name != "euclidean"
@@ -505,10 +475,9 @@ class _TopologyProblem:
         lo[0::2] = self.metric.min_x  # x coordinate of every point
         return list(zip(lo, np.full(nvar, np.inf)))
 
-    def solve(self, junc_init):
+    def solve(self, x0):
         from scipy.optimize import minimize
 
-        x0 = self.initial_vector(junc_init)
         if len(x0) == 0:
             return self.objective_and_grad(x0)[0], x0
         res = minimize(self.objective_and_grad, x0, jac=True, method="L-BFGS-B",
@@ -517,54 +486,105 @@ class _TopologyProblem:
         return float(res.fun), res.x
 
 
+def _merged(prob, x, keep=None, gone=None):
+    """The tree of ``prob``'s live arcs with node ``gone`` merged into node
+    ``keep`` (the arc between them dropped, junctions renumbered in order),
+    and a start vector at the current positions, the merged node at
+    ``keep``'s.  Without ``gone`` it only drops the dead arcs and the
+    junctions they leave without an arc."""
+    nodes, polys = prob.polylines(x)
+    arcs = [(keep if a == gone else a, keep if b == gone else b, prob.kappa[i], poly)
+            for i, poly in zip(prob.live, polys) for a, b in [prob.edges[i]]]
+    arcs = [arc for arc in arcs if arc[0] != arc[1]]
+    juncs = sorted({v for a, b, *_ in arcs for v in (a, b) if v >= prob.n_term})
+    label = {v: prob.n_term + k for k, v in enumerate(juncs)}
+    sub = _TopologyProblem([(label.get(a, a), label.get(b, b)) for a, b, *_ in arcs],
+                           [k for *_, k, _ in arcs], prob.terminals, prob.metric, prob.k_int)
+    x0 = np.concatenate([nodes[juncs].ravel()] + [poly[1:-1].ravel() for *_, poly in arcs])
+    return sub, x0
+
+
+def _contract(val, prob, x):
+    """Contraction rule for a solved tree: merge the ends of an arc at a
+    junction, shortest arc first, when the arc is shorter than
+    ``JUNCTION_MERGE_TOL`` times the terminals' span or the junction has
+    fewer than three live arcs.  Each merge re-solves the smaller tree from
+    the current positions and is kept when its mass is not higher beyond
+    round-off, until no merge is left.  Returns the contracted problem, its
+    variables and the number of re-solves that raised."""
+    tol = JUNCTION_MERGE_TOL * float(np.max(np.ptp(prob.terminals, axis=0)))
+    prob, x = _merged(prob, x)
+    n = prob.n_term
+    failed = 0
+    while True:
+        _, polys = prob.polylines(x)
+        lengths = np.linalg.norm(np.diff(polys, axis=1), axis=2).sum(axis=1)
+        degree = np.bincount(np.r_[prob.heads, prob.tails], minlength=prob.n_nodes)
+        thin = (degree < 3) & (np.arange(prob.n_nodes) >= n)
+        for i in np.argsort(lengths, kind="stable"):
+            keep, gone = sorted((int(prob.heads[i]), int(prob.tails[i])))
+            if gone < n or not (lengths[i] < tol or thin[keep] or thin[gone]):
+                continue
+            sub, x0 = _merged(prob, x, keep, gone)
+            try:
+                sub_val, sub_x = sub.solve(x0)
+            except (ValueError, FloatingPointError):
+                failed += 1
+                continue
+            if sub_val <= val * (1 + 1e-12):
+                prob, x, val = sub, sub_x, sub_val
+                break
+        else:
+            return prob, x, failed
+
+
 def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
                   k_interior: int = 48) -> WeightedNetwork:
     """Minimal-mass branched 1-current mod p spanning the given terminals.
 
-    terminals: sequence of ((x, y), multiplicity).  Enumerates spanning
-    trees on the terminals and full Steiner topologies (junction degree 3),
-    derives the forced mod-p arc multiplicities per topology, optimizes the
-    free junction positions and arc interiors by L-BFGS from three seeded
-    starts, and returns the global minimum with deterministic tie-breaking.
-    Under a conformal weight the arcs of the winner are then always
+    terminals: 2 to 6 ((x, y), multiplicity) pairs with finite points and
+    integer multiplicities.  Enumerates the full Steiner topologies (every
+    terminal a leaf, every junction of degree 3), derives the forced mod-p
+    arc multiplicities per topology, optimizes the junction positions and
+    arc interiors by L-BFGS from three seeded starts (one when there is no
+    junction), and takes the global minimum, ties to the first topology.
+    The winner is then contracted (``_contract``), so every junction has at
+    least three live arcs.  Under a conformal weight its arcs are finally
     replaced by shot geodesics and its junctions re-balanced.
     """
+    terminals = list(terminals)
+    if not 2 <= len(terminals) <= 6:
+        raise ValueError(f"need 2 to 6 terminals, got {len(terminals)}")
     pts = np.array([t[0] for t in terminals], dtype=float)
-    mult = [int(t[1]) for t in terminals]
-    n = len(pts)
-    if n > 6:
-        raise ValueError("at most 6 terminals supported")
+    if pts.shape != (len(terminals), 2) or not np.all(np.isfinite(pts)):
+        raise ValueError("terminal points must be finite points of the plane")
+    mult = np.array([t[1] for t in terminals])
+    if mult.dtype.kind not in "iuf" or not np.all(np.isfinite(mult)) or np.any(mult % 1):
+        raise ValueError("terminal multiplicities must be integers")
+    mult = [int(m) for m in mult]
     if sum(mult) % p != 0:
         raise ValueError("terminal multiplicities do not sum to 0 mod p")
     metric = _resolve_weight(weight)
 
-    topologies = []
-    for edges in _spanning_trees(n):
-        topologies.append((edges, 0))
-    for edges in _full_topologies(n):
-        njunc = max((max(e) for e in edges), default=n - 1) - n + 1
-        topologies.append((edges, njunc))
-    topologies.sort(key=lambda t: t[0])
-
     rng = np.random.default_rng(seed)
+    n = len(pts)
+    njunc = n - 2
+    centre = np.tile(pts.mean(axis=0), njunc)
     best = None
     skipped = failed = 0
-    for edges, njunc in topologies:
+    for edges in sorted(_full_topologies(n)):
         # every topology is a tree, so the sum check above balances it
         kappa = tree_multiplicities(edges, n + njunc, mult, p)
         prob = _TopologyProblem(list(edges), kappa, pts, metric, k_interior)
-        centroid = pts.mean(axis=0)
-        inits = [np.tile(centroid, njunc)]
-        for _ in range(2):
-            jitter = rng.normal(scale=0.05 * (1 + pts.std()), size=2 * njunc)
-            inits.append(np.tile(centroid, njunc) + jitter)
+        inits = [centre] + [centre + rng.normal(scale=0.05 * (1 + pts.std()), size=2 * njunc)
+                            for _ in range(2 if njunc else 0)]
         local_best = None
         for init in inits:
-            if getattr(metric, "min_x", None) is not None and njunc:
+            if getattr(metric, "min_x", None) is not None:
                 init = init.copy()
                 init[0::2] = np.maximum(init[0::2], 2 * metric.min_x)
             try:
-                val, x = prob.solve(init.reshape(njunc, 2) if njunc else init)
+                val, x = prob.solve(prob.initial_vector(init))
             except (ValueError, FloatingPointError):
                 failed += 1
                 continue
@@ -572,49 +592,29 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
                 local_best = (val, x)
         if local_best is None:
             skipped += 1
-            continue
-        key = (local_best[0], tuple(edges))
-        if best is None or key < best[0]:
-            best = (key, edges, kappa, prob, local_best[1])
+        elif best is None or local_best[0] < best[0]:
+            best = (local_best[0], prob, local_best[1])
     if best is None:
         raise RuntimeError("all topologies failed to optimize")
 
-    _, edges, kappa, prob, x = best
+    prob, x, failed_merges = _contract(*best)
+    failed += failed_merges
     nodes, stacked = prob.polylines(x)
     polys = dict(zip(prob.live, stacked))
 
     if prob.curved:
         nodes, polys = _shooting_polish(prob, nodes, polys)
 
-    # merge junctions that collapsed onto other nodes
-    remap = list(range(len(nodes)))
-    for j in range(n, len(nodes)):
-        for i in range(len(nodes)):
-            if i != j and remap[i] == i and \
-                    np.linalg.norm(nodes[i] - nodes[j]) < JUNCTION_MERGE_TOL:
-                remap[j] = i
-                break
-
-    arcs = []
-    for idx in prob.live:
-        a, b = edges[idx]
-        a2, b2 = remap[a], remap[b]
-        if a2 == b2:
-            continue
-        poly = polys[idx]
-        arcs.append(NetworkArc(a2, b2, int(kappa[idx]), poly,
-                               polyline_weighted_length(poly, metric)))
+    arcs = [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
+                       polyline_weighted_length(polys[idx], metric))
+            for idx in prob.live]
     mass_total = sum(abs(a.kappa) * a.length for a in arcs)
-    junctions = sorted({v for v in (remap[j] for j in range(n, len(nodes)))
-                        if v >= n})
+    junctions = list(range(n, prob.n_nodes))
     net = WeightedNetwork(nodes, mult, arcs, junctions, float(mass_total),
                           getattr(metric, "name", "conformal"), {}, p, skipped, failed)
-    for j in junctions:
-        tans = net.junction_tangents(j)
-        resid = np.zeros(2)
-        for k, t in tans:
-            resid += k * t
-        net.balance_residuals[j] = float(np.linalg.norm(resid))
+    net.balance_residuals = {
+        j: float(np.linalg.norm(sum(k * t for k, t in net.junction_tangents(j))))
+        for j in junctions}
     return net
 
 

@@ -129,6 +129,24 @@ def test_solve_network_rejects_unknown_weight(tmp_path):
     assert "invalid choice" in res.stderr
 
 
+@pytest.mark.parametrize("terminals, message", [
+    pytest.param([], "2 to 6 terminals", id="none"),
+    pytest.param([{"point": [0.0, 0.0], "multiplicity": 3}], "2 to 6 terminals", id="one"),
+    pytest.param([{"point": [math.nan, 0.0], "multiplicity": 1},
+                  {"point": [1.0, 0.0], "multiplicity": 2}], "finite points of the plane",
+                 id="nan-point"),
+    pytest.param([{"point": [0.0, 0.0], "multiplicity": 1.5},
+                  {"point": [1.0, 0.0], "multiplicity": 1.5}], "integers",
+                 id="half-multiplicity"),
+])
+def test_solve_network_rejects_bad_terminals(tmp_path, terminals, message):
+    (tmp_path / "terms.json").write_text(json.dumps({"terminals": terminals}))
+    res = run(["solve-network", "--terminals", "terms.json", "--p", "3"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert message in res.stderr
+    assert res.stdout == ""
+
+
 def test_density_and_monotonicity_csv(tmp_path):
     assert run(["make-fixture", "tilted-plane"], tmp_path).returncode == 0
     res = run(["density", "--sample", "tilted-plane.json",

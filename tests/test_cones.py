@@ -1,12 +1,15 @@
 """Ray configurations, competitor certificates, and weighted networks."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import modp
-from modp import fixtures
+from modp import cones, fixtures
+from modp.complexes import representative_modp
 
 
 def test_y120_passes_all_flags():
@@ -155,19 +158,137 @@ class _UndefinedNearOrigin:
         return np.zeros_like(np.atleast_2d(pts))
 
 
+class _FlakyEuclidean(cones.EuclideanWeight):
+    """The euclidean weight, except that its first ``calls`` evaluations raise
+    FloatingPointError."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def w(self, pts):
+        self.calls -= 1
+        if self.calls >= 0:
+            raise FloatingPointError("weight not ready")
+        return super().w(pts)
+
+
+EQUILATERAL = [((0.0, 1.0), 1), ((-math.sqrt(3) / 2, -0.5), 1), ((math.sqrt(3) / 2, -0.5), 1)]
+
+
 def test_solve_network_reports_skipped_topologies_and_failed_starts():
-    terms = [((0.0, 1.0), 1), ((-math.sqrt(3) / 2, -0.5), 1), ((math.sqrt(3) / 2, -0.5), 1)]
-    net = modp.solve_network(terms, 3)
+    net = modp.solve_network(EQUILATERAL, 3)
     # with balanced terminals every tree topology balances mod p
     assert (net.skipped_topologies, net.failed_starts) == (0, 0)
-    # the one Steiner topology starts its junction at the origin, where the
-    # weight raises; the three spanning trees stay 0.5 away from it
-    net = modp.solve_network(terms, 3, weight=_UndefinedNearOrigin())
-    assert (net.skipped_topologies, net.failed_starts) == (1, 3)
-    assert net.junctions == []
-    assert net.mass == pytest.approx(2 * math.sqrt(3), abs=1e-6)
     assert "skipped_topologies" not in net.to_json()
     assert "failed_starts" not in net.to_json()
+    # the one Steiner topology starts its junction at the origin, where the
+    # weight raises, and there is no other topology to fall back on
+    with pytest.raises(RuntimeError, match="all topologies failed"):
+        modp.solve_network(EQUILATERAL, 3, weight=_UndefinedNearOrigin())
+    # the first start fails; the two jittered ones still find the Y
+    net = modp.solve_network(EQUILATERAL, 3, weight=_FlakyEuclidean(1))
+    assert (net.skipped_topologies, net.failed_starts) == (0, 1)
+    assert net.mass == pytest.approx(3.0, abs=1e-9)
+    assert len(net.junctions) == 1
+    # sources on the left, sinks on the right: the first topology in sorted
+    # order pairs the sources (the optimal H, mass 4 + 2 sqrt(3)) and loses
+    # all three starts; the others carry two horizontal segments
+    terms = [((-2.0, 1.0), 1), ((-2.0, -1.0), 1), ((2.0, 1.0), -1), ((2.0, -1.0), -1)]
+    assert modp.solve_network(terms, 3).mass == pytest.approx(4 + 2 * math.sqrt(3), abs=1e-9)
+    net = modp.solve_network(terms, 3, weight=_FlakyEuclidean(3))
+    assert (net.skipped_topologies, net.failed_starts) == (1, 3)
+    assert net.mass == pytest.approx(8.0, abs=1e-9)
+    assert net.junctions == []
+
+
+@pytest.mark.parametrize("terminals, match", [
+    pytest.param([], "2 to 6 terminals", id="none"),
+    pytest.param([((0.0, 0.0), 3)], "2 to 6 terminals", id="one"),
+    pytest.param([((float(k), 0.0), 1) for k in range(7)], "2 to 6 terminals", id="seven"),
+    pytest.param([((math.nan, 0.0), 1), ((1.0, 0.0), 2)], "finite points of the plane",
+                 id="nan-point"),
+    pytest.param([((math.inf, 0.0), 1), ((1.0, 0.0), 2)], "finite points of the plane",
+                 id="inf-point"),
+    pytest.param([((0.0, 0.0, 0.0), 1), ((1.0, 0.0, 0.0), 2)], "finite points of the plane",
+                 id="3d-points"),
+    pytest.param([((0.0, 0.0), 1.5), ((1.0, 0.0), 1.5)], "integers", id="half-multiplicity"),
+    pytest.param([((0.0, 0.0), math.nan), ((1.0, 0.0), 1)], "integers", id="nan-multiplicity"),
+])
+def test_solve_network_rejects_bad_terminals(terminals, match):
+    with pytest.raises(ValueError, match=match):
+        modp.solve_network(terminals, 3)
+
+
+def _balanced_star(kappa, p, rng):
+    """Seeded unit rays with multiplicities ``kappa`` mod p that pass
+    ``check_structure``: the first rays at random angles, the last two
+    closing the balance.  A draw where some group of rays would gain by
+    leaving on a common stem (|sum of kappa_i v_i| above the stem's
+    multiplicity |kappa| mod p, with a 0.05 margin) is not minimizing and
+    is drawn again."""
+    kappa = np.array(kappa)
+    n = len(kappa)
+    while True:
+        ang = rng.uniform(0.0, 2 * math.pi, n - 2)
+        dirs = np.c_[np.cos(ang), np.sin(ang)]
+        resultant = kappa[:-2] @ dirs
+        r = float(np.linalg.norm(resultant))
+        a, b = kappa[-2:]
+        if not abs(a - b) < r < a + b:
+            continue
+        phi = math.atan2(-resultant[1], -resultant[0]) + \
+            math.acos((a * a + r * r - b * b) / (2 * a * r))
+        va = np.array([math.cos(phi), math.sin(phi)])
+        vb = (-resultant - a * va) / b
+        dirs = np.vstack([dirs, va, vb / np.linalg.norm(vb)])
+        try:
+            cfg = modp.RayConfiguration(dirs, kappa, p)
+        except ValueError:
+            continue
+        stems = [list(s) for m in range(2, n - 1) for s in itertools.combinations(range(n), m)]
+        if modp.check_structure(cfg).all_ok and all(
+                np.linalg.norm(kappa[s] @ dirs[s]) <= abs(representative_modp(kappa[s].sum(), p)) - 0.05
+                for s in stems):
+            return cfg
+
+
+# every multiplicity pattern that passes check_structure for p = 3..7 with
+# at most 5 rays, and the 6-ray (2, 1, 1, 1, 1, 1) mod 7 star, a full
+# topology with all four junctions collapsed; the 6-ray star mod 6, which
+# also passes, is left out because each 6-ray solve takes 7-10 s
+STARS = [(3, (1, 1, 1)), (4, (1, 1, 1, 1)), (5, (2, 2, 1)), (5, (2, 1, 1, 1)),
+         (5, (1, 1, 1, 1, 1)), (6, (2, 2, 2)), (6, (2, 2, 1, 1)), (6, (2, 1, 1, 1, 1)),
+         (7, (3, 3, 1)), (7, (3, 2, 2)), (7, (3, 2, 1, 1)), (7, (3, 1, 1, 1, 1)),
+         (7, (2, 2, 2, 1)), (7, (2, 2, 1, 1, 1)), (7, (2, 1, 1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("p, kappa", STARS,
+                         ids=[f"p{p}-{''.join(map(str, k))}" for p, k in STARS])
+def test_solve_network_finds_balanced_stars(p, kappa):
+    cfg = _balanced_star(kappa, p, np.random.default_rng([p, *kappa]))
+    net = modp.solve_network([(tuple(v), int(k)) for v, k in zip(cfg.directions, cfg.kappa)], p)
+    assert net.mass == pytest.approx(sum(kappa), abs=1e-9)
+    assert len(net.junctions) == 1
+    (j,) = net.junctions
+    assert len(net.junction_tangents(j)) == len(kappa)
+    assert net.balance_residuals[j] < 1e-6
+
+
+def test_solve_network_contracts_collapsed_junctions():
+    # 5 unit terminals mod 5 drawn like the surface workload's networks; in
+    # most of them the best full topology collapses into one 5-arc node
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(20):
+            th = np.sort(rng.uniform(0, 2 * math.pi, 5))
+            rad = rng.uniform(0.5, 1.5, 5)
+            net = modp.solve_network([((r * math.cos(a), r * math.sin(a)), 1)
+                                      for a, r in zip(th, rad)], 5)
+            assert all(r < 1e-6 for r in net.balance_residuals.values())
+            assert all(len(net.junction_tangents(j)) >= 3 for j in net.junctions)
+            assert all(a.length > 0 for a in net.arcs)
+            assert net.mass == sum(abs(a.kappa) * a.length for a in net.arcs)
 
 
 def test_collinear_terminals_have_no_junction():

@@ -6,6 +6,7 @@ multiplicities, under the euclidean or a conformal metric.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -210,7 +211,15 @@ class WeightedNetwork:
     failed_starts: int = 0
 
     def junction_tangents(self, j: int) -> list:
-        """(kappa, outgoing unit tangent) for arcs meeting node j."""
+        """(kappa, outgoing unit tangent) for arcs meeting node j.
+
+        The tangent is the chord of the polyline's first or last step.  On
+        a curved network that is the chord of one of 512 equal steps of the
+        geodesic, not the arc's tangent at the node, and the junction is
+        balanced on these chords (``_shooting_polish``): a known bias of
+        about 1e-3 in the balance and 6e-4 in the junction on the Taylor
+        example.
+        """
         out = []
         for arc in self.arcs:
             if arc.kappa == 0:
@@ -393,7 +402,17 @@ def _rk4_shoot(start, theta, length, metric, steps):
 
 
 def _shoot_bvp(a, b, metric, theta0, length0, steps=512):
-    """Geodesic from a to b by shooting; returns (polyline, theta, length)."""
+    """Geodesic from a to b: (polyline of ``steps + 1`` points at equal
+    euclidean arc-length spacing, start angle, euclidean length), or None.
+
+    A metric with a ``two_point_geodesic`` method solves it in closed form;
+    the shipped weights ``WeightedMetric("x")`` and ``("sqrtx")`` do, with
+    catenaries and parabolas.  Any other weight object is shot with RK4 from
+    (``theta0``, ``length0``) and ``scipy.optimize.root``.
+    """
+    closed = getattr(metric, "two_point_geodesic", None)
+    if closed is not None:
+        return closed(a, b, theta0, steps)
     from scipy.optimize import root
 
     def miss(x):
@@ -543,14 +562,18 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     """Minimal-mass branched 1-current mod p spanning the given terminals.
 
     terminals: 2 to 6 ((x, y), multiplicity) pairs with finite points and
-    integer multiplicities.  Enumerates the full Steiner topologies (every
-    terminal a leaf, every junction of degree 3), derives the forced mod-p
-    arc multiplicities per topology, optimizes the junction positions and
-    arc interiors by L-BFGS from three seeded starts (one when there is no
-    junction), and takes the global minimum, ties to the first topology.
+    integer multiplicities; p: an integer >= 2.  Enumerates the full
+    Steiner topologies (every terminal a leaf, every junction of degree 3),
+    derives the forced mod-p arc multiplicities per topology, optimizes the
+    junction positions and arc interiors by L-BFGS from three seeded starts
+    (one when there is no junction), and takes the global minimum, ties to
+    the first topology.
     The winner is then contracted (``_contract``), so every junction has at
     least three live arcs.  Under a conformal weight its arcs are finally
-    replaced by shot geodesics and its junctions re-balanced.
+    replaced by two-point geodesics (``_shoot_bvp``: closed-form catenaries
+    and parabolas under the shipped weights, RK4 shooting under any other)
+    and its junctions re-balanced on the chords of the arcs' end steps
+    (``_shooting_polish``).
     """
     terminals = list(terminals)
     if not 2 <= len(terminals) <= 6:
@@ -562,6 +585,9 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     if mult.dtype.kind not in "iuf" or not np.all(np.isfinite(mult)) or np.any(mult % 1):
         raise ValueError("terminal multiplicities must be integers")
     mult = [int(m) for m in mult]
+    if not isinstance(p, numbers.Integral) or p < 2:
+        raise ValueError("p must be an integer >= 2")
+    p = int(p)
     if sum(mult) % p != 0:
         raise ValueError("terminal multiplicities do not sum to 0 mod p")
     metric = _resolve_weight(weight)
@@ -619,8 +645,12 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
 
 
 def _shooting_polish(prob, nodes, polys):
-    """Replace polyline arcs by shot geodesics and re-polish junctions with
-    exact endpoint gradients, for conformal metrics."""
+    """Replace polyline arcs by two-point geodesics (``_shoot_bvp``, closed
+    form under the shipped weights) and re-polish the junctions by Newton
+    steps on a finite-difference Hessian with a line search, for conformal
+    metrics.  The balance takes the exact start angle of an arc that leaves
+    a junction but, for an arc that ends there, the chord of its last of
+    512 steps; this is the known junction bias (``junction_tangents``)."""
     metric = prob.metric
     n_term = prob.n_term
     juncs = list(range(n_term, prob.n_nodes))

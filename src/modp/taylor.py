@@ -64,6 +64,152 @@ class WeightedMetric:
         r = math.sqrt(x)
         return r, 0.5 / r, 0.0
 
+    def two_point_geodesic(self, a, b, theta0: float, steps: int):
+        """The geodesic from a to b in closed form, as ``cones._shoot_bvp``
+        returns it: (polyline of ``steps + 1`` points at equal euclidean
+        arc-length spacing, start angle taken within pi of ``theta0``,
+        euclidean length), or None when no geodesic of {x >= min_x} joins
+        them.
+
+        Along a geodesic w * tau_y = c (Clairaut).  With r = |c| and v the
+        signed offset from the arc's vertex, the geodesics are the catenaries
+        x = hypot(r, v), y = B + c asinh(v / r) under w = x (v is the arc
+        length), and the parabolas x = r^2 + v^2, y = B + 2 c v under
+        w = sqrt(x); tau = (v, c) / hypot(v, c) in both.  Let X be x resp.
+        sqrt(x) and start at the end with the smaller X: r = X_lo sech(s)
+        and v_lo = -X_lo tanh(s), so s < 0 climbs straight to the other
+        end and s > 0 passes the vertex first.  The rise |dy| of the arc is
+        zero at both ends of the s-line and has one maximum between, so
+        it takes a given rise at most twice; of those arcs the one of least
+        weighted length is returned.  c = 0 is the horizontal segment.
+        """
+        from scipy.optimize import brentq
+
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if min(a[0], b[0]) < self.min_x or np.array_equal(a, b):
+            return None
+        flip = b[0] < a[0]
+        lo, hi = (b, a) if flip else (a, b)
+        dy = float(hi[1] - lo[1])
+        cat = self.name == "x"
+        X_lo, X_hi = (float(lo[0]), float(hi[0])) if cat else \
+            (math.sqrt(lo[0]), math.sqrt(hi[0]))
+
+        def ends(s):
+            r = X_lo / math.cosh(s)
+            return r, -X_lo * math.tanh(s), math.sqrt((X_hi - r) * (X_hi + r))
+
+        def rise(s):
+            r, v0, v1 = ends(s)
+            if cat:
+                return r * (math.asinh(v1 / r) - math.asinh(v0 / r))
+            return 2 * r * (v1 - v0)
+
+        def weighted_length(s):
+            r, v0, v1 = ends(s)
+            if cat:
+                return 0.5 * (_vertex_integral(v1, r) - _vertex_integral(v0, r))
+            return 2 * r * r * (v1 - v0) + 2 * (v1 ** 3 - v0 ** 3) / 3
+
+        target = abs(dy)
+        left = right = 8.0
+        while rise(-left) >= target and left < _S_MAX:
+            left = min(2 * left, _S_MAX)
+        while rise(right) >= target and right < _S_MAX:
+            right = min(2 * right, _S_MAX)
+        if rise(-left) >= target:
+            # |c| below X_lo sech(_S_MAX): the horizontal segment
+            n = np.linspace(0.0, 1.0, steps + 1)[:, None]
+            poly = lo + n * (hi - lo)
+            d = hi - lo
+            length = float(np.hypot(*d))
+        else:
+            peak = _golden_reach(rise, -left, right, target)
+            if peak is None:
+                return None
+
+            def excess(s):
+                return rise(s) - target
+
+            roots = [peak] if excess(peak) == 0 else \
+                [brentq(excess, -left, peak, xtol=1e-15)]
+            if excess(right) < 0 < excess(peak):
+                roots.append(brentq(excess, peak, right, xtol=1e-15))
+            s = min(roots, key=weighted_length)
+            r, v0, v1 = ends(s)
+            if cat:
+                v = np.linspace(v0, v1, steps + 1)
+                x, rel = np.hypot(r, v), np.arcsinh(v / r)
+                length = v1 - v0
+            else:
+                arc0, arc1 = _vertex_integral(v0, r), _vertex_integral(v1, r)
+                v = _invert_vertex_integral(np.linspace(arc0, arc1, steps + 1), r)
+                v[0], v[-1] = v0, v1
+                x, rel = r * r + v * v, v
+                length = arc1 - arc0
+            # y from the rise fraction, so both ends land on a and b exactly
+            poly = np.stack([x, lo[1] + dy * (rel - rel[0]) / (rel[-1] - rel[0])], axis=1)
+            poly[0], poly[-1] = lo, hi
+            c = math.copysign(r, dy)
+            d = np.array([v1, c]) if flip else np.array([v0, c])
+        if not np.all(np.isfinite(poly)):
+            return None
+        if flip:
+            poly, d = poly[::-1].copy(), -d
+        theta = theta0 + math.remainder(math.atan2(d[1], d[0]) - theta0, 2 * math.pi)
+        return poly, theta, float(length)
+
+
+# |s| bound of the closed-form arcs: sech(600) > 1e-261, so r and r^2 stay
+# positive floats; a rise below the one at s = -600 is the horizontal segment
+_S_MAX = 600.0
+
+
+def _vertex_integral(v, r):
+    """v hypot(r, v) + r^2 asinh(v / r): twice the weighted length of a
+    catenary from its vertex, and the arc length of a parabola."""
+    return v * np.hypot(r, v) + r * r * np.arcsinh(v / r)
+
+
+def _invert_vertex_integral(target, r):
+    """The v with ``_vertex_integral(v, r) == target``, elementwise by
+    Newton's method.  The function is odd, increasing and convex for v > 0
+    with derivative 2 hypot(r, v); the start min(sqrt|t|, |t| / 2r) lies
+    beyond the root, so the iteration closes in monotonically."""
+    t = np.abs(target)
+    v = np.minimum(np.sqrt(t), t / (2 * r))
+    for _ in range(100):
+        step = (_vertex_integral(v, r) - t) / (2 * np.hypot(r, v))
+        v = v - step
+        if np.all(np.abs(step) <= 4e-16 * np.maximum(v, r)):
+            break
+    return np.copysign(v, target)
+
+
+def _golden_reach(f, lo, hi, level):
+    """A point of [lo, hi] where the unimodal f reaches ``level``, found on
+    the way to its maximum by golden-section search; None when the
+    maximum stays below."""
+    g = (math.sqrt(5) - 1) / 2
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while True:
+        if f1 >= level:
+            return x1
+        if f2 >= level:
+            return x2
+        if hi - lo < 1e-12:
+            return None
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+
 
 def geodesic_shoot(start, direction, length: float, metric: WeightedMetric,
                    steps: int = 2048):

@@ -129,21 +129,29 @@ def test_solve_network_rejects_unknown_weight(tmp_path):
     assert "invalid choice" in res.stderr
 
 
-@pytest.mark.parametrize("terminals, message", [
-    pytest.param([], "2 to 6 terminals", id="none"),
-    pytest.param([{"point": [0.0, 0.0], "multiplicity": 3}], "2 to 6 terminals", id="one"),
+TWO_TERMINALS = [{"point": [0.0, 0.0], "multiplicity": 1},
+                 {"point": [1.0, 0.0], "multiplicity": 2}]
+
+
+@pytest.mark.parametrize("terminals, p, message", [
+    pytest.param([], 3, "2 to 6 terminals", id="none"),
+    pytest.param([{"point": [0.0, 0.0], "multiplicity": 3}], 3, "2 to 6 terminals", id="one"),
     pytest.param([{"point": [math.nan, 0.0], "multiplicity": 1},
-                  {"point": [1.0, 0.0], "multiplicity": 2}], "finite points of the plane",
+                  {"point": [1.0, 0.0], "multiplicity": 2}], 3, "finite points of the plane",
                  id="nan-point"),
     pytest.param([{"point": [0.0, 0.0], "multiplicity": 1.5},
-                  {"point": [1.0, 0.0], "multiplicity": 1.5}], "integers",
+                  {"point": [1.0, 0.0], "multiplicity": 1.5}], 3, "integers",
                  id="half-multiplicity"),
+    pytest.param(TWO_TERMINALS, 0, "integer >= 2", id="p-zero"),
+    pytest.param(TWO_TERMINALS, 1, "integer >= 2", id="p-one"),
+    pytest.param(TWO_TERMINALS, -2, "integer >= 2", id="p-negative"),
 ])
-def test_solve_network_rejects_bad_terminals(tmp_path, terminals, message):
+def test_solve_network_rejects_bad_terminals(tmp_path, terminals, p, message):
     (tmp_path / "terms.json").write_text(json.dumps({"terminals": terminals}))
-    res = run(["solve-network", "--terminals", "terms.json", "--p", "3"], tmp_path)
+    res = run(["solve-network", "--terminals", "terms.json", f"--p={p}"], tmp_path)
     assert res.returncode == 2, res.stderr
     assert message in res.stderr
+    assert "Traceback" not in res.stderr
     assert res.stdout == ""
 
 

@@ -173,6 +173,8 @@ class _FlakyEuclidean(cones.EuclideanWeight):
 
 
 EQUILATERAL = [((0.0, 1.0), 1), ((-math.sqrt(3) / 2, -0.5), 1), ((math.sqrt(3) / 2, -0.5), 1)]
+# valid terminals mod 3, for the cases where only p is wrong
+TWO_TERMINALS = [((0.0, 0.0), 1), ((1.0, 0.0), 2)]
 
 
 def test_solve_network_reports_skipped_topologies_and_failed_starts():
@@ -201,22 +203,26 @@ def test_solve_network_reports_skipped_topologies_and_failed_starts():
     assert net.junctions == []
 
 
-@pytest.mark.parametrize("terminals, match", [
-    pytest.param([], "2 to 6 terminals", id="none"),
-    pytest.param([((0.0, 0.0), 3)], "2 to 6 terminals", id="one"),
-    pytest.param([((float(k), 0.0), 1) for k in range(7)], "2 to 6 terminals", id="seven"),
-    pytest.param([((math.nan, 0.0), 1), ((1.0, 0.0), 2)], "finite points of the plane",
+@pytest.mark.parametrize("terminals, p, match", [
+    pytest.param([], 3, "2 to 6 terminals", id="none"),
+    pytest.param([((0.0, 0.0), 3)], 3, "2 to 6 terminals", id="one"),
+    pytest.param([((float(k), 0.0), 1) for k in range(7)], 3, "2 to 6 terminals", id="seven"),
+    pytest.param([((math.nan, 0.0), 1), ((1.0, 0.0), 2)], 3, "finite points of the plane",
                  id="nan-point"),
-    pytest.param([((math.inf, 0.0), 1), ((1.0, 0.0), 2)], "finite points of the plane",
+    pytest.param([((math.inf, 0.0), 1), ((1.0, 0.0), 2)], 3, "finite points of the plane",
                  id="inf-point"),
-    pytest.param([((0.0, 0.0, 0.0), 1), ((1.0, 0.0, 0.0), 2)], "finite points of the plane",
+    pytest.param([((0.0, 0.0, 0.0), 1), ((1.0, 0.0, 0.0), 2)], 3, "finite points of the plane",
                  id="3d-points"),
-    pytest.param([((0.0, 0.0), 1.5), ((1.0, 0.0), 1.5)], "integers", id="half-multiplicity"),
-    pytest.param([((0.0, 0.0), math.nan), ((1.0, 0.0), 1)], "integers", id="nan-multiplicity"),
+    pytest.param([((0.0, 0.0), 1.5), ((1.0, 0.0), 1.5)], 3, "integers", id="half-multiplicity"),
+    pytest.param([((0.0, 0.0), math.nan), ((1.0, 0.0), 1)], 3, "integers", id="nan-multiplicity"),
+    pytest.param(TWO_TERMINALS, 0, "integer >= 2", id="p-zero"),
+    pytest.param(TWO_TERMINALS, 1, "integer >= 2", id="p-one"),
+    pytest.param(TWO_TERMINALS, -2, "integer >= 2", id="p-negative"),
+    pytest.param(TWO_TERMINALS, 3.0, "integer >= 2", id="p-float"),
 ])
-def test_solve_network_rejects_bad_terminals(terminals, match):
+def test_solve_network_rejects_bad_terminals(terminals, p, match):
     with pytest.raises(ValueError, match=match):
-        modp.solve_network(terminals, 3)
+        modp.solve_network(terminals, p)
 
 
 def _balanced_star(kappa, p, rng):

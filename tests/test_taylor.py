@@ -62,21 +62,26 @@ def test_geodesic_shoot_follows_exact_geodesic(weight, curve):
     assert np.abs(arc[:, 0] - curve(arc[:, 1])).max() < 1e-9
 
 
+class ArrayOnly:
+    """A user weight with only the array interface w / grad_w of a shipped
+    weight: no ``w_and_grad`` and no ``two_point_geodesic``, so its
+    two-point geodesics are shot with RK4."""
+    name = "user"
+    min_x = 1e-9
+
+    def __init__(self, weight):
+        self.inner = modp.WeightedMetric(weight)
+
+    def w(self, pts):
+        return self.inner.w(pts)
+
+    def grad_w(self, pts):
+        return self.inner.grad_w(pts)
+
+
 def test_array_only_weight_shoots_like_its_closed_form():
-    class ArrayOnly:
-        """A user weight with only the array interface w / grad_w."""
-        name = "user"
-        min_x = 1e-9
-        inner = modp.WeightedMetric("sqrtx")
-
-        def w(self, pts):
-            return self.inner.w(pts)
-
-        def grad_w(self, pts):
-            return self.inner.grad_w(pts)
-
     args = ([1.0, 0.0], [0.3, 1.0], 0.5)
-    user, _ = modp.geodesic_shoot(*args, ArrayOnly(), steps=256)
+    user, _ = modp.geodesic_shoot(*args, ArrayOnly("sqrtx"), steps=256)
     closed, _ = modp.geodesic_shoot(*args, modp.WeightedMetric("sqrtx"), steps=256)
     np.testing.assert_allclose(user, closed, rtol=0, atol=1e-14)
 
@@ -102,6 +107,116 @@ def test_junction_balances_exact_arc_tangents(taylor_p3):
                                  float(np.linalg.norm(chord)))
         resid += abs(arc.kappa) * np.array([math.cos(theta), math.sin(theta)])
     assert np.linalg.norm(resid) < 1e-5
+
+
+def _two_point_pairs(weight, count, seed):
+    """Seeded endpoint pairs with x in [0.3, 1.5] and |dy| below 1.3 times
+    the smaller x, which a geodesic of either weight joins: the rise of
+    the arcs through their vertex peaks at 1.3255 (catenaries) or 2
+    (parabolas) times the smaller x or higher."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        xa, xb = rng.uniform(0.3, 1.5, 2)
+        ya = rng.uniform(-0.5, 0.5)
+        yb = ya + 1.3 * min(xa, xb) * rng.uniform(-1.0, 1.0)
+        pairs.append(pytest.param(weight, (xa, ya), (xb, yb), id=f"{weight}-seed{seed}-{k}"))
+    return pairs
+
+
+# the Taylor junction as the network solver returns it (k_interior=8)
+TAYLOR_JUNCTION_X = 0.8368776394247799
+TWO_POINT_CASES = [
+    *_two_point_pairs("x", 3, 12), *_two_point_pairs("sqrtx", 3, 12),
+    *(pytest.param(w, (0.5, 0.25), (1.5, 0.25), id=f"{w}-c-zero") for w in ("x", "sqrtx")),
+    # like the middle arc of the Taylor network
+    *(pytest.param(w, (1.0, 0.0), (TAYLOR_JUNCTION_X, 1e-12), id=f"{w}-dy-1e-12")
+      for w in ("x", "sqrtx")),
+    *(pytest.param(w, (1.0, -0.5), (1.2, 0.6), id=f"{w}-through-vertex")
+      for w in ("x", "sqrtx")),
+]
+
+
+@pytest.mark.parametrize("weight, a, b", TWO_POINT_CASES)
+def test_closed_form_geodesic_matches_rk4_shooting(weight, a, b):
+    from modp.cones import _shoot_bvp
+
+    a, b = np.array(a), np.array(b)
+    chord = b - a
+    hint = (math.atan2(chord[1], chord[0]), float(np.linalg.norm(chord)))
+    closed = _shoot_bvp(a, b, modp.WeightedMetric(weight), *hint)
+    shot = _shoot_bvp(a, b, ArrayOnly(weight), *hint)
+    poly, theta, length = closed
+    assert poly.shape == (513, 2)
+    np.testing.assert_allclose(poly, shot[0], rtol=0, atol=1e-10)
+    assert theta == pytest.approx(shot[1], abs=1e-10)
+    assert length == pytest.approx(shot[2], abs=1e-10)
+    if a[1] == b[1]:
+        assert np.all(poly[:, 1] == a[1])
+
+
+@pytest.mark.parametrize("weight", ["x", "sqrtx"])
+def test_closed_form_geodesic_passes_its_vertex(weight):
+    from modp.cones import _shoot_bvp
+
+    # the through-vertex case above: the arc turns back in x on its way up
+    poly, _, _ = _shoot_bvp(np.array([1.0, -0.5]), np.array([1.2, 0.6]),
+                            modp.WeightedMetric(weight), 0.0, 1.0)
+    inner = int(np.argmin(poly[:, 0]))
+    assert 0 < inner < len(poly) - 1 and poly[inner, 0] < 1.0 - 5e-3
+
+
+def test_closed_form_geodesic_takes_the_lighter_of_two_catenaries():
+    from scipy.optimize import brentq
+
+    from modp.cones import _shoot_bvp
+
+    # the catenaries x = r cosh((y - 1/2) / r) through (1, 0) and (1, 1):
+    # r cosh(1 / 2r) = 1 has a deep root near 0.24 and a shallow one near 0.85
+    a, b = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    hints = []
+    for lo, hi in [(0.2, 0.3), (0.6, 1.0)]:
+        r = brentq(lambda r: r * math.cosh(0.5 / r) - 1, lo, hi)
+        hints.append((math.atan2(1.0, math.sinh(-0.5 / r)), 2 * r * math.sinh(0.5 / r)))
+    deep, shallow = (_shoot_bvp(a, b, ArrayOnly("x"), *h) for h in hints)
+    metric = modp.WeightedMetric("x")
+    assert modp.weighted_length(shallow[0], metric) < modp.weighted_length(deep[0], metric) - 0.1
+    assert deep[0][:, 0].min() < 0.3 < 0.8 < shallow[0][:, 0].min()
+    # the closed form returns the lighter arc even when the hint points at the other
+    for hint in hints:
+        poly, theta, length = _shoot_bvp(a, b, metric, *hint)
+        np.testing.assert_allclose(poly, shallow[0], rtol=0, atol=1e-10)
+        assert theta == pytest.approx(shallow[1], abs=1e-10)
+        assert length == pytest.approx(shallow[2], abs=1e-10)
+
+
+TAYLOR_TERMINALS = [((math.cos(math.radians(a)), math.sin(math.radians(a))), 1)
+                    for a in (-40.0, 0.0, 40.0)]
+
+
+def test_taylor_network_uses_closed_form_arcs(monkeypatch):
+    from modp import cones
+
+    def no_rk4(*args):
+        raise AssertionError("RK4 shooting under a shipped weight")
+
+    monkeypatch.setattr(cones, "_rk4_shoot", no_rk4)
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"),
+                             k_interior=8)
+    (j,) = net.junctions
+    # the biased junction that the benchmark's surface workload pins: the
+    # polish balances end-step chords (see the strict xfail above); the
+    # balanced exact tangents put it at x = 0.8362529565
+    assert net.nodes[j][0] == pytest.approx(TAYLOR_JUNCTION_X, abs=1e-9)
+    assert net.nodes[j][1] == pytest.approx(0.0, abs=1e-9)
+    assert net.mass == pytest.approx(1.15677558316804, abs=1e-9)
+
+
+def test_taylor_network_under_array_only_weight_shoots_the_same_junction():
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=ArrayOnly("x"), k_interior=8)
+    (j,) = net.junctions
+    np.testing.assert_allclose(net.nodes[j], [TAYLOR_JUNCTION_X, 0.0], rtol=0, atol=1e-9)
+    assert net.mass == pytest.approx(1.15677558316804, abs=1e-9)
 
 
 def _revolve_loop(net, delta):
@@ -132,9 +247,8 @@ def _revolve_loop(net, delta):
 def test_revolve_sample_matches_point_loop():
     from modp.taylor import _revolve_sample
 
-    terminals = [((math.cos(math.radians(a)), math.sin(math.radians(a))), 1)
-                 for a in (-40.0, 0.0, 40.0)]
-    net = modp.solve_network(terminals, 3, weight=modp.WeightedMetric("x"), k_interior=8)
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"),
+                             k_interior=8)
     sample = _revolve_sample(net, 0.04)
     pts, wts, frames = _revolve_loop(net, 0.04)
     assert sample.points.shape == pts.shape and sample.tangents.shape == frames.shape

@@ -7,19 +7,20 @@ a scalar product or a boundary that would leave the int64 range raises
 ``OverflowError`` instead of wrapping.  Geometry (simplex volumes) is
 computed once from vertex coordinates at construction time.
 
-A complex is assembled from one ``(n, k+1)`` integer array per degree.
-Each check on the input is an array test over a whole degree, every volume
-of a degree comes from one batched Gram determinant, and every orientation
-sign comes from ``_parity``.  Faces are found through one table per degree
-that maps a sorted vertex tuple to its (index, sign); the signed incidence
-matrices are then built from index arrays, and boundary-of-boundary = 0 is
-checked as a self-test of the signs.
+The k-simplices are one read-only ``(n, k+1)`` int64 array of vertex
+indices per degree; the order of a row fixes the orientation.  Each input
+check is an array test over a degree, each degree's volumes come from one
+batched Gram determinant and orientation signs from ``_parity``.  ``_find``
+looks simplices up by one ``np.searchsorted`` over a degree's sorted rows;
+it finds the faces for the signed incidence matrices, and
+boundary-of-boundary = 0 is checked as a self-test of the signs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -50,12 +51,20 @@ def _parity(s: np.ndarray) -> np.ndarray:
     return sign
 
 
+def _row_keys(s: np.ndarray) -> np.ndarray:
+    """Each row sorted, as one big-endian byte string: for indices >= 0 these
+    order like the sorted rows, lexicographically."""
+    rows = np.ascontiguousarray(np.sort(s, axis=1), dtype=">i8")
+    return rows.view(f"S{rows.itemsize * s.shape[1]}").ravel()
+
+
 class SimplicialComplex:
     """Finite oriented simplicial complex in R^d, d <= 4.
 
-    ``simplices[k]`` is a list of vertex-index tuples; the listed order fixes
-    the orientation.  Every face of a k-simplex (k >= 1) must be present
-    among the (k-1)-simplices, up to an even/odd permutation of its vertices.
+    ``simplices[k]`` is a read-only ``(n, k+1)`` int64 array of vertex
+    indices, one row per k-simplex; the order of a row fixes the orientation.
+    Every face of a k-simplex (k >= 1) must be present among the
+    (k-1)-simplices, up to an even/odd permutation of its vertices.
     """
 
     def __init__(self, vertices, simplices):
@@ -66,7 +75,7 @@ class SimplicialComplex:
             raise ValueError("vertices must be an (n, d) array with 1 <= d <= 4")
         nv = len(self.vertices)
 
-        arrays = {0: np.arange(nv, dtype=np.int64)[:, None]}
+        self.simplices: dict[int, np.ndarray] = {0: np.arange(nv, dtype=np.int64)[:, None]}
         for k in sorted(int(k) for k in simplices):
             if k == 0:
                 continue
@@ -81,14 +90,15 @@ class SimplicialComplex:
                 raise ValueError(f"bad {k}-simplex: need {k + 1} distinct vertices")
             if s.size and not 0 <= s.min() <= s.max() < nv:
                 raise ValueError(f"vertex index out of range in a {k}-simplex")
-            arrays[k] = s
-
-        self.simplices: dict[int, list[tuple[int, ...]]] = {
-            k: list(map(tuple, s.tolist())) for k, s in arrays.items()}
+            self.simplices[k] = s
         self.dim = max(self.simplices)
 
         self.volumes: dict[int, np.ndarray] = {}
-        for k, s in arrays.items():
+        for k, s in self.simplices.items():
+            s.flags.writeable = False
+            # a repeated simplex is found at the index of its first copy
+            if not np.array_equal(self._find(k, s)[0], np.arange(len(s))):
+                raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
             edges = self.vertices[s[:, 1:]] - self.vertices[s[:, :1]]
             det = np.linalg.det(edges @ edges.transpose(0, 2, 1))
             vols = np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
@@ -99,29 +109,18 @@ class SimplicialComplex:
         # to_json writes the volumes of a degree only where they differ from these
         self._geometric_volumes = {k: v.copy() for k, v in self.volumes.items()}
 
-        # per degree: sorted vertex tuple -> (index, sign of the sorting permutation)
-        self._index: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
-        for k, s in arrays.items():
-            table = dict(zip(map(tuple, np.sort(s, axis=1).tolist()),
-                             zip(range(len(s)), _parity(s).tolist())))
-            if len(table) < len(s):
-                raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
-            self._index[k] = table
-
         # signed incidence matrices, incidence[k]: rows (k-1)-simplices, cols k-simplices
         self.incidence: dict[int, sparse.csc_matrix] = {}
         for k in range(1, self.dim + 1):
-            s = arrays.get(k, np.zeros((0, k + 1), dtype=np.int64))
+            s = self.simplices.get(k, np.zeros((0, k + 1), dtype=np.int64))
             faces = np.concatenate([np.delete(s, i, axis=1) for i in range(k + 1)])
-            found = list(map(self._index.get(k - 1, {}).get,
-                             map(tuple, np.sort(faces, axis=1).tolist())))
-            if None in found:
-                face = tuple(faces[found.index(None)].tolist())
+            rows, sign = self._find(k - 1, faces)
+            if not sign.all():
+                face = tuple(faces[np.argmax(sign == 0)].tolist())
                 raise ValueError(f"face {face} of a {k}-simplex missing from the complex")
-            rows, row_sign = np.array(found, dtype=np.int64).reshape(-1, 2).T
-            face_sign = np.repeat((-1) ** np.arange(k + 1), len(s)) * _parity(faces)
             self.incidence[k] = sparse.csc_matrix(
-                (face_sign * row_sign, (rows, np.tile(np.arange(len(s)), k + 1))),
+                (np.repeat((-1) ** np.arange(k + 1), len(s)) * sign,
+                 (rows, np.tile(np.arange(len(s)), k + 1))),
                 shape=(self.n_simplices(k - 1), len(s)),
                 dtype=np.int64)
 
@@ -131,25 +130,45 @@ class SimplicialComplex:
             if prod.count_nonzero():
                 raise ValueError(f"incidence matrices violate boundary-of-boundary = 0 at degree {k}")
 
+    def _find(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index, sign) of the k-simplex with the vertices of each row of the
+        ``(m, k+1)`` array ``rows``: sign +1 or -1 as the row is an even or odd
+        permutation of it, and index 0, sign 0 where there is none."""
+        stored = self.simplices.get(k, np.zeros((0, k + 1), dtype=np.int64))
+        if not len(stored):
+            return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
+        keys = _row_keys(stored)
+        order = np.argsort(keys, kind="stable")
+        wanted = _row_keys(rows)
+        j = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(order) - 1)]
+        sign = np.where(keys[j] == wanted, _parity(rows) * _parity(stored[j]), 0)
+        return np.where(sign != 0, j, 0), sign
+
     def n_simplices(self, k: int) -> int:
-        return len(self.simplices.get(k, []))
+        return len(self.simplices.get(k, ()))
 
     def simplex_index(self, vertices) -> tuple[int, int]:
         """Return (index, orientation sign) of the simplex with these vertices."""
         s = np.array([vertices], dtype=np.int64)
-        j, stored_sign = self._index[s.shape[1] - 1][tuple(sorted(s[0].tolist()))]
-        return j, int(_parity(s)[0]) * stored_sign
+        j, sign = self._find(s.shape[1] - 1, s)
+        if not sign[0]:
+            raise KeyError(tuple(s[0].tolist()))
+        return int(j[0]), int(sign[0])
 
     def chain(self, degree: int, coeffs=None) -> "IntegerChain":
         return IntegerChain(self, degree, coeffs)
 
-    def chain_from_simplices(self, degree: int, simplex_list) -> "IntegerChain":
-        """Chain summing the given simplices (vertex tuples), coefficient +1 each."""
-        coeffs: dict[int, int] = {}
-        for s in simplex_list:
-            j, sign = self.simplex_index(s)
-            coeffs[j] = coeffs.get(j, 0) + sign
-        return IntegerChain(self, degree, coeffs)
+    def chain_from_simplices(self, degree: int, simplex_rows) -> "IntegerChain":
+        """Chain summing the simplices of an ``(m, degree+1)`` array-like of
+        vertex rows, each +1 in the orientation of its row."""
+        rows = np.asarray(simplex_rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != degree + 1:
+            raise ValueError(f"a {degree}-simplex needs {degree + 1} vertex indices")
+        j, sign = self._find(degree, rows)
+        if not sign.all():
+            raise KeyError(tuple(rows[np.argmax(sign == 0)].tolist()))
+        counts = np.bincount(j, sign, self.n_simplices(degree))  # exact float sums of +-1
+        return IntegerChain(self, degree, counts.astype(np.int64))
 
     # -- JSON interface (schema `complex.json`) --
 
@@ -157,12 +176,8 @@ class SimplicialComplex:
         """Vertices and simplices; ``"volumes"`` holds each degree whose volumes
         were replaced after construction (a conformal weight), and only those."""
         data = {
-            "vertices": [list(map(float, v)) for v in self.vertices],
-            "simplices": {
-                str(k): [list(s) for s in simps]
-                for k, simps in self.simplices.items()
-                if k > 0
-            },
+            "vertices": self.vertices.tolist(),
+            "simplices": {str(k): s.tolist() for k, s in self.simplices.items() if k > 0},
         }
         volumes = {str(k): v.tolist() for k, v in self.volumes.items()
                    if not np.array_equal(v, self._geometric_volumes[k])}
@@ -287,8 +302,7 @@ class ModPClass:
     representative: IntegerChain
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
+        check_modulus(self.p)
         v = self.representative.vector
         if not np.array_equal(representative_modp(v, self.p), v):
             raise ValueError("representative is not reduced mod p")
@@ -317,11 +331,17 @@ def representative_modp(value, p: int):
     return r - p * (r > p // 2)
 
 
+def check_modulus(p) -> None:
+    """The rule for every modulus: an integer (``numbers.Integral``) >= 2."""
+    if not isinstance(p, numbers.Integral) or p < 2:
+        raise ValueError("p must be an integer >= 2")
+
+
 def reduce_modp(c: IntegerChain, p: int) -> ModPClass:
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    check_modulus(p)
     return ModPClass(p, IntegerChain(c.complex, c.degree, representative_modp(c.vector, p)))
 
 
 def is_cycle_modp(c: IntegerChain, p: int) -> bool:
-    return not np.any(boundary(c).vector % p)
+    # the boundary of c mod p, which stays in int64 where that of c may not
+    return not np.any(boundary(c.complex.chain(c.degree, c.vector % p)).vector % p)

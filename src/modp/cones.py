@@ -6,13 +6,12 @@ multiplicities, under the euclidean or a conformal metric.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .complexes import representative_modp
+from .complexes import check_modulus, representative_modp
 
 __all__ = [
     "RayConfiguration",
@@ -585,8 +584,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     if mult.dtype.kind not in "iuf" or not np.all(np.isfinite(mult)) or np.any(mult % 1):
         raise ValueError("terminal multiplicities must be integers")
     mult = [int(m) for m in mult]
-    if not isinstance(p, numbers.Integral) or p < 2:
-        raise ValueError("p must be an integer >= 2")
+    check_modulus(p)
     p = int(p)
     if sum(mult) % p != 0:
         raise ValueError("terminal multiplicities do not sum to 0 mod p")

@@ -61,9 +61,8 @@ def strip_complex(n_triangles: int) -> SimplicialComplex:
     """Strip of n triangles: vertices (j/2, j mod 2), triangles (j, j+1, j+2)."""
     nv = n_triangles + 2
     verts = [[j / 2.0, float(j % 2)] for j in range(nv)]
-    tris = [(j, j + 1, j + 2) for j in range(n_triangles)]
-    edges = sorted({tuple(sorted((t[a], t[b]))) for t in tris
-                    for a, b in ((0, 1), (1, 2), (0, 2))})
+    tris = np.arange(n_triangles)[:, None] + np.arange(3)
+    edges = np.unique(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=0)
     return SimplicialComplex(verts, {1: edges, 2: tris})
 
 
@@ -133,7 +132,7 @@ def half_plane_mesh(h: float, metric, x_range=(0.05, 1.3), y_range=(-1.0, 1.0)):
     if not 0.0 < h < math.inf:
         raise ValueError(f"mesh size h must be finite and > 0, got {h}")
     cx, index = _hex_mesh(h, keep)
-    a, b = np.array(cx.simplices[1]).T
+    a, b = cx.simplices[1].T
     mids = (cx.vertices[a] + cx.vertices[b]) / 2
     cx.volumes[1] = metric.w(mids) * cx.volumes[1]
     return cx, index
@@ -193,8 +192,8 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> Integ
             di, dj = np.sign(nxt - walk[-1])
             # a diagonal edge exists only along (1, 1)
             walk.append(walk[-1] + ((di, dj) if di == dj else (di, 0) if di else (0, dj)))
-    ids = (np.array(walk) @ [n + 1, 1]).tolist()
-    return cx.chain_from_simplices(1, zip(ids, ids[1:]))
+    ids = np.array(walk) @ [n + 1, 1]
+    return cx.chain_from_simplices(1, np.c_[ids[:-1], ids[1:]])
 
 
 def plane_sample(delta: float, extent: float = 1.5) -> VarifoldSample:

@@ -21,6 +21,7 @@ from .complexes import (
     ModPClass,
     SimplicialComplex,
     boundary,
+    check_modulus,
     mass,
     reduce_modp,
     representative_modp,
@@ -143,8 +144,7 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     """
     from scipy import sparse
 
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    check_modulus(p)
     cx = T.complex
     k = T.degree
     has_z = k + 1 <= cx.dim
@@ -227,7 +227,7 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
         raise infeasible
 
     # both directions of each edge at residue 1; row n_v is the virtual source
-    tail, head = np.array(cx.simplices[1], dtype=np.int64).reshape(-1, 2).T
+    tail, head = cx.simplices[1].T
     unit = csr_matrix((np.tile(cx.volumes[1], 2), (np.r_[tail, head], np.r_[head, tail])),
                       shape=(n_v + 1, n_v + 1))
     indptr = unit.indptr.copy()
@@ -268,19 +268,21 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     if cost[full, root] == np.inf:  # some component's terminals do not balance
         raise infeasible
 
-    coeffs = np.zeros(cx.n_simplices(1), dtype=np.int64)
+    forest = []  # rows (v, u, residue[s]): the forest carries residue[s] along edge (v, u)
     stack = [(full, root)]
     while stack:
         s, v = stack.pop()
         u = int(pred[s, v])
         if u >= 0:
-            if residue[s]:  # the forest carries residue[s] along edge (v, u); a jump has none
-                j, sgn = cx.simplex_index((v, u))
-                coeffs[j] += sgn * residue[s]
+            if residue[s]:  # a jump carries nothing
+                forest.append((v, u, residue[s]))
             stack.append((s, u))
         elif split[s, v]:
             s1 = int(split[s, v])
             stack += [(s1, v), (s ^ s1, v)]
+    forest = np.array(forest, dtype=np.int64).reshape(-1, 3)
+    j, sign = cx._find(1, forest[:, :2])
+    coeffs = np.bincount(j, sign * forest[:, 2], cx.n_simplices(1)).astype(np.int64)
     return _plateau_solution(b, p, coeffs, 0.0, full + 1)
 
 
@@ -302,8 +304,7 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     mixed-integer program of ``_plateau_milp``, whose solve stops after
     ``time_limit`` seconds.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    check_modulus(p)
     if b.p != p:
         raise ValueError("modulus mismatch between class and argument")
     cx = b.representative.complex

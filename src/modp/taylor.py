@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .books import OpenBook, VarifoldSample, excess
-from .cones import WeightedNetwork, _rk4_shoot, _shoot_bvp, solve_network
+from .cones import BALANCE_TOL, WeightedNetwork, _rk4_shoot, solve_network
 
 __all__ = [
     "WeightedMetric",
@@ -331,27 +331,6 @@ def _revolve_sample(net: WeightedNetwork, delta: float) -> VarifoldSample:
                           tangents=np.concatenate(frames), delta=delta)
 
 
-def _single_geodesic_residual(terminals: np.ndarray, metric: WeightedMetric) -> float:
-    """Max distance from the middle terminals to the geodesic through the
-    two extreme ones (shooting BVP); small residual means all terminals lie
-    on a single geodesic."""
-    if len(terminals) <= 2:
-        return 0.0
-    order = np.argsort(terminals[:, 1])
-    a, b = terminals[order[0]], terminals[order[-1]]
-    chord = b - a
-    theta0 = math.atan2(chord[1], chord[0])
-    res = _shoot_bvp(a, b, metric, theta0, float(np.linalg.norm(chord)))
-    if res is None:
-        return math.inf
-    poly = res[0]
-    worst = 0.0
-    for idx in order[1:-1]:
-        d = np.min(np.linalg.norm(poly - terminals[idx][None, :], axis=1))
-        worst = max(worst, float(d))
-    return worst
-
-
 def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
                          weight: str = "x", delta: float = 0.02,
                          seed: int = 0) -> RevolvedCurrent:
@@ -359,6 +338,8 @@ def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
     terminals on the arc of the given radius, then revolve about the y-axis.
 
     Angles are degrees measured from the positive x-axis of the half-plane.
+    A junction whose arc tangents do not balance to ``cones.BALANCE_TOL``
+    is not a singular circle and raises ``RuntimeError``.
     """
     if p < 3:
         raise ValueError("p must be >= 3")
@@ -370,14 +351,15 @@ def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
     if np.any(term_pts[:, 0] <= 1e-3 * radius):
         raise ValueError("terminals must stay away from the rotation axis")
     metric = WeightedMetric(weight)
-    if _single_geodesic_residual(term_pts, metric) <= 1e-6:
-        raise ValueError("no singular circle (degenerate)")
     net = solve_network([(pt, 1) for pt in term_pts], p, weight=metric, seed=seed)
     circles = []
     for j in net.junctions:
         tans = net.junction_tangents(j)
         if len(tans) < 3:
             raise ValueError("no singular circle (degenerate)")
+        if net.balance_residuals[j] > BALANCE_TOL:
+            raise RuntimeError(f"junction {j} at ({net.nodes[j][0]:.6g}, {net.nodes[j][1]:.6g}) "
+                               f"is unbalanced: residual {net.balance_residuals[j]:.3g}")
         circles.append({"x": float(net.nodes[j][0]), "y": float(net.nodes[j][1]),
                         "tangents": [t for _, t in tans],
                         "multiplicities": [k for k, _ in tans]})
@@ -476,8 +458,7 @@ def _flat_ladder(R: RevolvedCurrent, circle, radii) -> list:
     cx, spacing = grid_square_complex(LADDER_GRID_N)
     junction = np.array([circle["x"], circle["y"]])
     inside = np.linalg.norm(cx.vertices, axis=1) <= 0.85
-    ball = {k: np.flatnonzero(inside[np.array(cx.simplices[k])].all(axis=1))
-            for k in (1, 2)}
+    ball = {k: np.flatnonzero(inside[cx.simplices[k]].all(axis=1)) for k in (1, 2)}
     rays = [np.vstack([np.zeros(2), 2.0 * np.asarray(tau)]) for tau in circle["tangents"]]
     S = sum((k * rasterize_polyline(cx, spacing, ray)
              for ray, k in zip(rays, circle["multiplicities"])), cx.chain(1))

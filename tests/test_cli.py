@@ -104,6 +104,14 @@ def test_plateau_on_disconnected_complex(tmp_path):
     assert "does not bound mod p" in res.stderr
 
 
+def test_taylor_unbalanced_junction_is_exit_3(tmp_path):
+    res = run(["taylor", "--p", "3", "--angles=-60,10,50"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "unbalanced" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_solve_network_json(tmp_path):
     spec = {"terminals": [
         {"point": [0.0, 1.0], "multiplicity": 1},

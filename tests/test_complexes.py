@@ -85,7 +85,9 @@ def test_complex_json_round_trip():
     cx = fixtures.strip_complex(3)
     assert "volumes" not in cx.to_json()
     back = modp.SimplicialComplex.from_json(cx.to_json())
-    assert back.simplices == cx.simplices
+    assert back.simplices.keys() == cx.simplices.keys()
+    for k, s in cx.simplices.items():
+        np.testing.assert_array_equal(back.simplices[k], s)
     np.testing.assert_allclose(back.vertices, cx.vertices)
 
 
@@ -142,6 +144,72 @@ def test_complex_rejects_bad_input(vertices, simplices):
         modp.SimplicialComplex(vertices, simplices)
 
 
+def test_simplices_are_read_only_int64_arrays():
+    cx, _ = fixtures.disk_mesh(0.3)
+    for k, s in cx.simplices.items():
+        assert s.dtype == np.int64 and s.shape == (cx.n_simplices(k), k + 1)
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 1
+
+
+@pytest.mark.parametrize("vertices", [(0, 3), (3, 0), (1, 1), (0, 1, 3), (0, 1, 2, 3)],
+                         ids=["absent", "absent_reversed", "repeated", "absent_triangle",
+                              "no_such_degree"])
+def test_simplex_index_of_missing_simplex_raises_key_error(vertices):
+    cx = fixtures.strip_complex(2)  # edges (0,1), (0,2), (1,2), (1,3), (2,3)
+    with pytest.raises(KeyError):
+        cx.simplex_index(vertices)
+
+
+def test_chain_from_simplices_adds_signed_repeats():
+    cx, _ = fixtures.grid_square_complex(2)  # vertices 0 and 1 span the edge (0, 1)
+    j, _ = cx.simplex_index((0, 1))
+    assert cx.chain_from_simplices(1, [(0, 1), (1, 0)]).is_zero()
+    assert cx.chain_from_simplices(1, [(0, 1), (1, 0), (0, 1), (1, 4)]) == \
+        cx.chain_from_simplices(1, [(0, 1), (1, 4)])
+    assert cx.chain_from_simplices(1, [(1, 0), (1, 0)]).coeffs == {j: -2}
+    assert cx.chain_from_simplices(1, np.zeros((0, 2), dtype=np.int64)).is_zero()
+    with pytest.raises(KeyError):
+        cx.chain_from_simplices(1, [(0, 1), (0, 8)])
+    with pytest.raises(ValueError, match="2 vertex indices"):
+        cx.chain_from_simplices(1, [(0, 1, 4)])
+
+
+def test_lookup_does_not_overflow_on_high_vertex_indices():
+    # 70000^5 > 2^63: a key that packs five vertex indices in base n_vertices would wrap
+    nv = 70_000
+    vertices = np.random.default_rng(0).normal(size=(nv, 4))
+    top = tuple(range(nv - 5, nv))
+    cx = modp.SimplicialComplex(vertices, {
+        k: list(itertools.combinations(top, k + 1)) for k in range(1, 5)})
+    assert cx.simplex_index(top) == (0, 1)
+    assert cx.simplex_index(top[::-1]) == (0, 1)  # reversing five entries is even
+    for i in range(5):
+        face = top[:i] + top[i + 1:]
+        row, sign = cx.simplex_index(face)
+        assert cx.incidence[4][row, 0] == (-1) ** i * sign
+    assert modp.boundary(modp.boundary(cx.chain(4, {0: 1}))).is_zero()
+    with pytest.raises(KeyError):
+        cx.simplex_index((0, nv - 1))
+
+
+_CHAIN = fixtures.triangle_complex()[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: modp.reduce_modp(_CHAIN, p),
+    lambda p: modp.ModPClass(p, _CHAIN),
+    lambda p: modp.flat_norm_modp(_CHAIN, p),
+    lambda p: modp.plateau_modp(modp.reduce_modp(modp.boundary(_CHAIN.complex.chain(1, {0: 1})),
+                                                 3), p),
+    lambda p: modp.solve_network([((0.0, 0.0), 1), ((1.0, 0.0), 2)], p),
+], ids=["reduce_modp", "ModPClass", "flat_norm_modp", "plateau_modp", "solve_network"])
+@pytest.mark.parametrize("p", [0, 1, 2.5, 3.0])
+def test_every_entry_point_takes_one_modulus_rule(call, p):
+    with pytest.raises(ValueError, match=r"^p must be an integer >= 2$"):
+        call(p)
+
+
 @pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
 def test_meshes_reject_bad_size(h):
     with pytest.raises(ValueError, match="mesh size"):
@@ -196,7 +264,9 @@ def test_assembly_matches_face_by_face_reference(data):
         simplices[k] = [tuple(data.draw(st.permutations(f))) for f in faces]
     cx = modp.SimplicialComplex(vertices, {k: s for k, s in simplices.items() if k})
     volumes, incidence = _reference_assembly(vertices, simplices)
-    assert cx.simplices == simplices
+    assert cx.simplices.keys() == simplices.keys()
+    for k, s in simplices.items():
+        np.testing.assert_array_equal(cx.simplices[k], np.array(s))
     for k, vols in volumes.items():
         np.testing.assert_array_equal(cx.volumes[k], vols)
     for k, ref in incidence.items():

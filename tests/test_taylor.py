@@ -266,6 +266,13 @@ def test_build_validation():
         modp.build_taylor_example(3, [-95.0, 0.0, 95.0])
 
 
+def test_unbalanced_junction_is_an_error_not_a_circle():
+    # the junction polish is skipped on this network and leaves the junction
+    # unbalanced (residual about 0.4)
+    with pytest.raises(RuntimeError, match=r"junction 3 .* unbalanced: residual 0\.4"):
+        modp.build_taylor_example(3, [-60.0, 10.0, 50.0])
+
+
 def test_json_round_trip(taylor_p3):
     data = taylor_p3.to_json()
     assert data["p"] == 3

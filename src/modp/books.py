@@ -149,6 +149,12 @@ class ConeModP:
         if int(self.kappa.sum()) > self.p:
             raise ValueError("total multiplicity exceeds p")
 
+    @classmethod
+    def from_json(cls, data: dict) -> "ConeModP":
+        """The cone of ``OpenBook.to_json(p, kappa)``; ``kappa`` defaults to 1."""
+        kappa = [pg.get("kappa", 1) for pg in data["pages"]]
+        return cls(OpenBook.from_json(data), np.array(kappa), int(data["p"]))
+
 
 @dataclass
 class VarifoldSample:

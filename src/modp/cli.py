@@ -23,7 +23,8 @@ from .cones import (BALANCE_TOL, JUNCTION_MERGE_TOL, RayConfiguration, check_str
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .flatnorm import brute_force_flat_oracle, flat_norm_modp, plateau_modp
 from .monotonicity import density_profile
-from .taylor import RevolvedCurrent, WeightedMetric, build_taylor_example, decay_scan
+from .taylor import (RevolvedCurrent, WeightedMetric, build_taylor_example, decay_scan,
+                     tangent_book_at)
 from .whitney import build_decomposition, whitney_domain
 
 
@@ -96,15 +97,11 @@ def cmd_classify_cone(args) -> int:
     return 0
 
 
-def _weight_arg(name):
-    return "euclidean" if name == "euclidean" else WeightedMetric(name)
-
-
 def cmd_solve_network(args) -> int:
     spec = _load_json(args.terminals)
     terms = [(t["point"], t["multiplicity"]) for t in spec["terminals"]]
-    net = solve_network(terms, args.p, weight=_weight_arg(args.weight),
-                        seed=args.seed)
+    weight = "euclidean" if args.weight == "euclidean" else WeightedMetric(args.weight)
+    net = solve_network(terms, args.p, weight=weight, seed=args.seed)
     payload = net.to_json()
     payload["meta"] = _meta(args, weight=args.weight,
                             junction_merge_tolerance=JUNCTION_MERGE_TOL)
@@ -124,31 +121,8 @@ def cmd_taylor(args) -> int:
     return 0
 
 
-def _revolved_from_json(data) -> RevolvedCurrent:
-    from .cones import NetworkArc, WeightedNetwork
-    from .taylor import _revolve_sample
-
-    g = data["generator"]
-    arcs = [NetworkArc(a["a"], a["b"], a["kappa"],
-                       np.array(a["polyline"], float), a["length"])
-            for a in g["arcs"]]
-    net = WeightedNetwork(np.array(g["nodes"], float),
-                          g["terminal_multiplicities"], arcs,
-                          list(g["junctions"]), g["mass"], g["weight"],
-                          {int(k): v for k, v in g["balance_residuals"].items()},
-                          g["p"])
-    metric = WeightedMetric(data["weight"])
-    circles = [{"x": c["x"], "y": c["y"],
-                "tangents": [np.array(t, float) for t in c["tangents"]],
-                "multiplicities": list(c["multiplicities"])}
-               for c in data["singular_circles"]]
-    sample = _revolve_sample(net, data["delta"])
-    return RevolvedCurrent(net, sample, circles, metric,
-                           data["radius"], data["p"], data["delta"])
-
-
 def cmd_decay_scan(args) -> int:
-    R = _revolved_from_json(_load_json(args.surface))
+    R = RevolvedCurrent.from_json(_load_json(args.surface))
     c = R.singular_circles[0]
     q = (c["x"], 0.0, c["y"])
     rows = decay_scan(R, q, _parse_floats(args.radii), with_flat=not args.no_flat)
@@ -166,23 +140,15 @@ def cmd_decay_scan(args) -> int:
 def cmd_whitney(args) -> int:
     dec = build_decomposition(args.m, args.M, args.depth)
     if args.excess_from:
-        R = _revolved_from_json(_load_json(args.excess_from))
-        from .taylor import tangent_book_at
-
+        R = RevolvedCurrent.from_json(_load_json(args.excess_from))
         c = R.singular_circles[0]
-        q0 = np.array([c["x"], 0.0, c["y"]])
-        book = tangent_book_at(R, q0)
-        # (y, radius) is fixed by the column (k, j): whitney_domain and the
-        # CSV rows below share one evaluation per column
-        column_excess: dict = {}
+        book = tangent_book_at(R, np.array([c["x"], 0.0, c["y"]]))
 
         def oracle(y, radius):
-            if (y, radius) not in column_excess:
-                # wrap the spine coordinate around the singular circle
-                ang = y[0] / c["x"]
-                q = np.array([c["x"] * math.cos(ang), c["x"] * math.sin(ang), c["y"]])
-                column_excess[(y, radius)] = excess(R.sample, book, q, radius)
-            return column_excess[(y, radius)]
+            # wrap the spine coordinate around the singular circle
+            ang = y[0] / c["x"]
+            q = np.array([c["x"] * math.cos(ang), c["x"] * math.sin(ang), c["y"]])
+            return excess(R.sample, book, q, radius)
     else:
         def oracle(y, radius):
             return 0.0
@@ -194,8 +160,8 @@ def cmd_whitney(args) -> int:
                     "excess", "member"])
         for k in range(dec.depth):
             for cube in dec.cubes(k):
-                e = oracle(cube.y_center, dec.mbar() * cube.d_Q)
-                w.writerow([cube.k, cube.i, *cube.j, e, int(W.is_member(cube))])
+                w.writerow([cube.k, cube.i, *cube.j, W.column_excess[(cube.k, cube.j)],
+                            int(W.is_member(cube))])
     _emit({"member_cubes": len(W), "csv": args.csv,
            "meta": _meta(args, path_tie_break="lexicographic")}, args.out)
     return 0
@@ -217,12 +183,6 @@ def cmd_monotonicity(args) -> int:
     return 0
 
 
-def _cone_from_json(data) -> ConeModP:
-    book = OpenBook.from_json(data)
-    kappa = [pg.get("kappa", 1) for pg in data["pages"]]
-    return ConeModP(book, np.array(kappa), int(data["p"]))
-
-
 def cmd_excess(args) -> int:
     sample = VarifoldSample.from_json(_load_json(args.sample))
     book = OpenBook.from_json(_load_json(args.book))
@@ -232,8 +192,8 @@ def cmd_excess(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    C = _cone_from_json(_load_json(args.book))
-    C0 = _cone_from_json(_load_json(args.book0))
+    C = ConeModP.from_json(_load_json(args.book))
+    C0 = ConeModP.from_json(_load_json(args.book0))
     try:
         val = coherence_angle(C, C0)
     except ValueError as exc:

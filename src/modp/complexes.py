@@ -11,9 +11,9 @@ The k-simplices are one read-only ``(n, k+1)`` int64 array of vertex
 indices per degree; the order of a row fixes the orientation.  Each input
 check is an array test over a degree, each degree's volumes come from one
 batched Gram determinant and orientation signs from ``_parity``.  ``_find``
-looks simplices up by one ``np.searchsorted`` over a degree's sorted rows;
-it finds the faces for the signed incidence matrices, and
-boundary-of-boundary = 0 is checked as a self-test of the signs.
+looks simplices up by one ``np.searchsorted`` over a degree's rows, sorted
+once at construction; it finds the faces for the signed incidence matrices,
+and boundary-of-boundary = 0 is checked as a self-test of the signs.
 """
 
 from __future__ import annotations
@@ -94,8 +94,12 @@ class SimplicialComplex:
         self.dim = max(self.simplices)
 
         self.volumes: dict[int, np.ndarray] = {}
+        # each degree's row keys and sort order for ``_find``; the rows are read-only
+        self._sorted_keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k, s in self.simplices.items():
             s.flags.writeable = False
+            keys = _row_keys(s)
+            self._sorted_keys[k] = keys, np.argsort(keys, kind="stable")
             # a repeated simplex is found at the index of its first copy
             if not np.array_equal(self._find(k, s)[0], np.arange(len(s))):
                 raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
@@ -137,8 +141,7 @@ class SimplicialComplex:
         stored = self.simplices.get(k, np.zeros((0, k + 1), dtype=np.int64))
         if not len(stored):
             return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
-        keys = _row_keys(stored)
-        order = np.argsort(keys, kind="stable")
+        keys, order = self._sorted_keys[k]
         wanted = _row_keys(rows)
         j = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(order) - 1)]
         sign = np.where(keys[j] == wanted, _parity(rows) * _parity(stored[j]), 0)

@@ -6,7 +6,7 @@ multiplicities, under the euclidean or a conformal metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -196,18 +196,32 @@ class NetworkArc:
 
 @dataclass
 class WeightedNetwork:
-    nodes: np.ndarray  # (n_nodes, 2); terminals first
+    """A solved network; ``junctions``, ``mass`` and ``balance_residuals``
+    are derived from its nodes and arcs, written by ``to_json`` and not read."""
+
+    nodes: np.ndarray  # (n_nodes, 2); the terminals, then junctions of >= 3 live arcs
     terminal_multiplicities: list
     arcs: list
-    junctions: list  # node indices of junctions; each has at least three live arcs
-    mass: float
     weight_id: str
-    balance_residuals: dict = field(default_factory=dict)
     p: int = 0
     # topologies whose every start failed, and starts (contraction re-solves
     # included) that raised ValueError or FloatingPointError; not in to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
+
+    @property
+    def junctions(self) -> list:
+        return list(range(len(self.terminal_multiplicities), len(self.nodes)))
+
+    @property
+    def mass(self) -> float:
+        return float(sum(abs(a.kappa) * a.length for a in self.arcs))
+
+    @property
+    def balance_residuals(self) -> dict:
+        """{junction: |sum of kappa times the outgoing tangent|}."""
+        return {j: float(np.linalg.norm(sum(k * t for k, t in self.junction_tangents(j))))
+                for j in self.junctions}
 
     def junction_tangents(self, j: int) -> list:
         """(kappa, outgoing unit tangent) for arcs meeting node j.
@@ -247,6 +261,13 @@ class WeightedNetwork:
             "balance_residuals": {str(k): v for k, v in self.balance_residuals.items()},
         }
 
+    @classmethod
+    def from_json(cls, data: dict) -> "WeightedNetwork":
+        arcs = [NetworkArc(a["a"], a["b"], a["kappa"], np.array(a["polyline"], float), a["length"])
+                for a in data["arcs"]]
+        return cls(np.array(data["nodes"], float), data["terminal_multiplicities"], arcs,
+                   data["weight"], data["p"])
+
 
 class EuclideanWeight:
     """Trivial conformal factor; arcs are straight segments."""
@@ -281,18 +302,15 @@ def polyline_weighted_length(poly: np.ndarray, metric) -> float:
 
 def _full_topologies(n: int):
     """All full Steiner topologies on terminals 0..n-1: every terminal has
-    degree 1 and every junction (indices >= n) degree 3."""
+    degree 1 and every junction (indices >= n) degree 3.  Inserting leaf t
+    into each edge of each tree on 0..t-1 yields each one exactly once."""
     if n == 2:
         return [((0, 1),)]
     out = []
-    seen = set()
 
     def insert(edges, njunc, t):
         if t == n:
-            key = tuple(sorted(edges))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
+            out.append(tuple(sorted(edges)))
             return
         for idx, (a, b) in enumerate(edges):
             newj = n + njunc
@@ -438,7 +456,7 @@ class _TopologyProblem:
         self.n_nodes = max([self.n_term] + [max(e) + 1 for e in edges])
         self.n_junc = self.n_nodes - self.n_term
         self.metric = metric
-        self.curved = metric.name != "euclidean"
+        self.curved = not isinstance(metric, EuclideanWeight)
         self.k_int = k_interior if self.curved else 0
         self.live = [i for i, k in enumerate(kappa) if k != 0]
         self.heads = np.array([edges[i][0] for i in self.live], dtype=int)
@@ -632,14 +650,8 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     arcs = [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
                        polyline_weighted_length(polys[idx], metric))
             for idx in prob.live]
-    mass_total = sum(abs(a.kappa) * a.length for a in arcs)
-    junctions = list(range(n, prob.n_nodes))
-    net = WeightedNetwork(nodes, mult, arcs, junctions, float(mass_total),
-                          getattr(metric, "name", "conformal"), {}, p, skipped, failed)
-    net.balance_residuals = {
-        j: float(np.linalg.norm(sum(k * t for k, t in net.junction_tangents(j))))
-        for j in junctions}
-    return net
+    return WeightedNetwork(nodes, mult, arcs, getattr(metric, "name", "conformal"),
+                           p, skipped, failed)
 
 
 def _shooting_polish(prob, nodes, polys):

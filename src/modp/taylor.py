@@ -280,6 +280,14 @@ class RevolvedCurrent:
                 for c in self.singular_circles],
         }
 
+    @classmethod
+    def from_json(cls, data: dict) -> "RevolvedCurrent":
+        """The surface of ``to_json``; its circles and sample are derived from
+        the generator's arcs as ``build_taylor_example`` derives them."""
+        net = WeightedNetwork.from_json(data["generator"])
+        return cls(net, _revolve_sample(net, data["delta"]), _singular_circles(net),
+                   WeightedMetric(data["weight"]), data["radius"], data["p"], data["delta"])
+
 
 def _resample(poly: np.ndarray, step: float) -> np.ndarray:
     """Re-parametrize a polyline with roughly uniform spacing <= step."""
@@ -352,21 +360,29 @@ def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
         raise ValueError("terminals must stay away from the rotation axis")
     metric = WeightedMetric(weight)
     net = solve_network([(pt, 1) for pt in term_pts], p, weight=metric, seed=seed)
+    return RevolvedCurrent(net, _revolve_sample(net, delta), _singular_circles(net),
+                           metric, radius, p, delta)
+
+
+def _singular_circles(net: WeightedNetwork) -> list:
+    """One circle per junction: its (x, y) and its arcs' tangents and
+    multiplicities.  No junction, or one with fewer than three arcs, raises
+    ``ValueError``; one unbalanced beyond ``BALANCE_TOL``, ``RuntimeError``."""
+    residuals = net.balance_residuals
     circles = []
     for j in net.junctions:
         tans = net.junction_tangents(j)
         if len(tans) < 3:
             raise ValueError("no singular circle (degenerate)")
-        if net.balance_residuals[j] > BALANCE_TOL:
+        if residuals[j] > BALANCE_TOL:
             raise RuntimeError(f"junction {j} at ({net.nodes[j][0]:.6g}, {net.nodes[j][1]:.6g}) "
-                               f"is unbalanced: residual {net.balance_residuals[j]:.3g}")
+                               f"is unbalanced: residual {residuals[j]:.3g}")
         circles.append({"x": float(net.nodes[j][0]), "y": float(net.nodes[j][1]),
                         "tangents": [t for _, t in tans],
                         "multiplicities": [k for k, _ in tans]})
     if not circles:
         raise ValueError("no singular circle (degenerate)")
-    sample = _revolve_sample(net, delta)
-    return RevolvedCurrent(net, sample, circles, metric, radius, p, delta)
+    return circles
 
 
 def tangent_book_at(R: RevolvedCurrent, q) -> OpenBook:
@@ -383,16 +399,15 @@ def tangent_book_at(R: RevolvedCurrent, q) -> OpenBook:
     return OpenBook(spine, slice_basis, pages)
 
 
-def _nearest_circle(R: RevolvedCurrent, q, tol: float = None) -> dict:
+def _nearest_circle(R: RevolvedCurrent, q) -> dict:
     q = np.asarray(q, dtype=float)
     xq = math.hypot(q[0], q[1])
-    tol = tol if tol is not None else 0.05 * R.radius
     best, bd = None, math.inf
     for c in R.singular_circles:
         d = math.hypot(xq - c["x"], q[2] - c["y"])
         if d < bd:
             best, bd = c, d
-    if best is None or bd > tol:
+    if best is None or bd > 0.05 * R.radius:
         raise ValueError("q not near any singular circle")
     return best
 

@@ -135,13 +135,15 @@ def is_below(Q: WhitneyCube, Q2: WhitneyCube) -> bool:
 
 class WhitneyDomain:
     """Upward-closed cube family where the excess oracle stays below tau^2
-    at every cube at or above the member, at scale Mbar * d_Q."""
+    at every cube at or above the member, at scale Mbar * d_Q.
+    ``column_excess`` is the oracle's value per column, {(k, j): value}."""
 
     def __init__(self, decomposition: WhitneyDecomposition, tau: float,
-                 member_columns: set):
+                 member_columns: set, column_excess: dict):
         self.decomposition = decomposition
         self.tau = tau
         self.member_columns = member_columns  # {(k, j)}
+        self.column_excess = column_excess
 
     def is_member(self, Q: WhitneyCube) -> bool:
         return (Q.k, Q.j) in self.member_columns
@@ -158,22 +160,24 @@ class WhitneyDomain:
 def whitney_domain(excess_fn, tau: float, decomposition: WhitneyDecomposition) -> WhitneyDomain:
     """Member cubes per the criterion E(y_Q', Mbar * d_Q') < tau^2 for every
     Q' at or above Q.  Membership is decided per column (it does not depend
-    on the row) and memoized down the layers."""
+    on the row) and memoized down the layers; the oracle is called once per
+    column, and its values are kept as ``column_excess``."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     dec = decomposition
     tau2 = tau * tau
     members: set = set()
+    column_excess: dict = {}
     for k in range(dec.depth):
         for j in _lattice(dec.lattice_width(k), dec.m - 1):
             cube = dec.cube(k, 0, j)
             radius = dec.mbar() * cube.d_Q  # = 2^(-k+2)
-            good = excess_fn(cube.y_center, radius) < tau2
+            column_excess[(k, j)] = excess_fn(cube.y_center, radius)
             parent_ok = True if k == 0 else \
                 (k - 1, tuple(v >> 1 for v in j)) in members
-            if good and parent_ok:
+            if column_excess[(k, j)] < tau2 and parent_ok:
                 members.add((k, j))
-    return WhitneyDomain(dec, tau, members)
+    return WhitneyDomain(dec, tau, members, column_excess)
 
 
 def _lattice(width: int, dims: int):

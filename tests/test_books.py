@@ -97,6 +97,9 @@ def test_book_json_round_trip(y_cone):
     back = modp.OpenBook.from_json(data)
     np.testing.assert_allclose(back.pages, y_cone.book.pages)
     assert back.m == y_cone.book.m
+    cone = modp.ConeModP.from_json(json.loads(json.dumps(data)))
+    assert np.array_equal(cone.book.pages, y_cone.book.pages)
+    assert cone.kappa.tolist() == [1, 1, 1] and cone.p == 3
 
 
 def test_excess_of_book_sample_is_zero(y_cone):

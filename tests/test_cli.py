@@ -255,12 +255,24 @@ def test_taylor_command_round_trips(tmp_path):
     assert res.returncode == 0
     data = json.loads((tmp_path / "surface.json").read_text())
     assert len(data["singular_circles"]) == 1
-    scan = run(["decay-scan", "--surface", "surface.json",
-                "--radii", "0.2,0.1", "--no-flat", "--csv", "scan.csv"],
-               tmp_path)
+    scan_args = ["decay-scan", "--surface", "surface.json",
+                 "--radii", "0.2,0.1", "--no-flat", "--csv", "scan.csv"]
+    scan = run(scan_args, tmp_path)
     assert scan.returncode == 0
-    lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
+    csv_text = (tmp_path / "scan.csv").read_text()
+    assert len(csv_text.strip().splitlines()) == 3
+    # the circles, mass and residuals are derived from the arcs on load
+    data["singular_circles"][0]["x"] += 0.1
+    data["generator"]["mass"] = 0.0
+    (tmp_path / "surface.json").write_text(json.dumps(data))
+    assert run(scan_args, tmp_path).returncode == 0
+    assert (tmp_path / "scan.csv").read_text() == csv_text
+    # turning the last step of an arc at the junction unbalances it
+    data["generator"]["arcs"][1]["polyline"][-2][1] += 1e-3
+    (tmp_path / "surface.json").write_text(json.dumps(data))
+    scan = run(scan_args, tmp_path)
+    assert scan.returncode == 3, scan.stderr
+    assert "unbalanced" in scan.stderr
 
 
 def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):

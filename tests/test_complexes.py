@@ -161,6 +161,26 @@ def test_simplex_index_of_missing_simplex_raises_key_error(vertices):
         cx.simplex_index(vertices)
 
 
+def test_lookups_sort_nothing_after_construction(monkeypatch):
+    # each degree's rows are sorted once, at construction; a lookup only searches
+    argsort = np.argsort
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return argsort(*args, **kw)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    cx, _ = fixtures.disk_mesh(0.3)
+    assert len(calls) == len(cx.simplices)
+    calls.clear()
+    for k in (1, 2):
+        for row in cx.simplices[k][:50]:
+            assert cx.simplex_index(row[::-1])[0] >= 0
+        cx.chain_from_simplices(k, cx.simplices[k])
+    assert calls == []
+
+
 def test_chain_from_simplices_adds_signed_repeats():
     cx, _ = fixtures.grid_square_complex(2)  # vertices 0 and 1 span the edge (0, 1)
     j, _ = cx.simplex_index((0, 1))

@@ -1,6 +1,7 @@
 """Ray configurations, competitor certificates, and weighted networks."""
 
 import itertools
+import json
 import math
 import warnings
 
@@ -319,7 +320,36 @@ def test_weighted_lengths_closed_forms():
 
 def test_network_json_round_trip():
     net = modp.solve_network([((0.0, 1.0), 1), ((1.0, 0.0), 1), ((0.2, 0.2), 1)], 3)
-    data = net.to_json()
+    data = json.loads(json.dumps(net.to_json()))
     assert data["p"] == 3
     assert len(data["arcs"]) == len(net.arcs)
-    assert data["mass"] == pytest.approx(net.mass)
+    assert data["mass"] == net.mass
+    # mass, junctions and residuals are derived from the arcs, not read back
+    data.update(mass=-1.0, junctions=[], balance_residuals={})
+    back = modp.WeightedNetwork.from_json(data)
+    assert (back.mass, back.junctions, back.balance_residuals) == \
+        (net.mass, net.junctions, net.balance_residuals)
+    assert back.to_json() == net.to_json()
+
+
+def test_full_topologies_are_distinct_and_counted():
+    for n in range(3, 8):
+        trees = cones._full_topologies(n)
+        assert len(trees) == len(set(trees)) == math.prod(range(1, 2 * n - 4, 2))
+
+
+class _NamelessUnitWeight:
+    """A weight object with ``w`` and ``grad_w`` only."""
+
+    def w(self, pts):
+        return np.ones(len(np.atleast_2d(pts)))
+
+    def grad_w(self, pts):
+        return np.zeros_like(np.atleast_2d(pts))
+
+
+def test_solve_network_takes_a_weight_without_name():
+    net = modp.solve_network([((0.0, 0.0), 1), ((1.0, 0.0), -1)], 3,
+                             weight=_NamelessUnitWeight())
+    assert net.mass == pytest.approx(1.0, abs=1e-9)
+    assert net.weight_id == "conformal"

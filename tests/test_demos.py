@@ -9,10 +9,8 @@ from conftest import run_python
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-# singular_surface_demo.py is left out: it takes about 8 s, and acceptance
-# criterion 6 covers its Plateau call
 @pytest.mark.parametrize("name", ["cone_classification", "flat_norm", "monotonicity",
-                                  "plateau", "whitney_selection"])
+                                  "plateau", "singular_surface", "whitney_selection"])
 def test_demo_runs(name, tmp_path):
     proc = run_python([str(DEMOS / f"{name}_demo.py")], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Rotationally symmetric weighted-network example and its decay scans."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -274,10 +275,32 @@ def test_unbalanced_junction_is_an_error_not_a_circle():
 
 
 def test_json_round_trip(taylor_p3):
-    data = taylor_p3.to_json()
+    data = json.loads(json.dumps(taylor_p3.to_json()))
     assert data["p"] == 3
     assert len(data["singular_circles"]) == 1
     assert data["radius"] == pytest.approx(1.0)
+    back = modp.RevolvedCurrent.from_json(data)
+    for c, b in zip(taylor_p3.singular_circles, back.singular_circles, strict=True):
+        assert (b["x"], b["y"], b["multiplicities"]) == (c["x"], c["y"], c["multiplicities"])
+        assert np.array_equal(b["tangents"], c["tangents"])
+    net, got = taylor_p3.generator, back.generator
+    assert np.array_equal(got.nodes, net.nodes)
+    for a, b in zip(net.arcs, got.arcs, strict=True):
+        assert np.array_equal(a.polyline, b.polyline) and a.length == b.length
+    for name in ("points", "weights", "tangents"):
+        assert np.array_equal(getattr(back.sample, name), getattr(taylor_p3.sample, name))
+
+
+def test_loaded_surface_derives_its_circles_from_the_arcs(taylor_p3):
+    data = json.loads(json.dumps(taylor_p3.to_json()))
+    data["singular_circles"] = []
+    data["generator"].update(mass=0.0, junctions=[], balance_residuals={})
+    back = modp.RevolvedCurrent.from_json(data)
+    assert back.singular_circles[0]["x"] == taylor_p3.singular_circles[0]["x"]
+    # turning the last step of an arc at the junction unbalances it
+    data["generator"]["arcs"][0]["polyline"][-2][0] += 1e-3
+    with pytest.raises(RuntimeError, match="junction 3 .* unbalanced"):
+        modp.RevolvedCurrent.from_json(data)
 
 
 def test_decay_scan_rows_without_flat(taylor_p3):
@@ -300,6 +323,22 @@ def test_flat_ladder_values_are_pinned(taylor_p3):
     np.testing.assert_allclose([row["flat_distance"] for row in rows], expected,
                                rtol=0, atol=1e-12)
     assert all(row["flat_gap"] <= 1e-9 for row in rows)
+
+
+@pytest.mark.xfail(strict=True, reason="rasterize_polyline rounds densified samples with "
+                   "np.rint, and the samples of a ray at 120 or 240 degrees land on "
+                   "half-lattice ties, so a round-off turn of the ray moves its edges")
+def test_rasterized_ray_is_stable_under_round_off():
+    cx, spacing = fixtures.grid_square_complex(modp.taylor.LADDER_GRID_N)
+
+    def ray(theta):
+        return np.array([[0.0, 0.0], [2.0 * math.cos(theta), 2.0 * math.sin(theta)]])
+
+    for degrees in (120.0, 240.0):
+        theta = math.radians(degrees)
+        chain = fixtures.rasterize_polyline(cx, spacing, ray(theta))
+        for turn in (1e-12, -1e-12):
+            assert fixtures.rasterize_polyline(cx, spacing, ray(theta + turn)) == chain
 
 
 def test_concurrent_flat_ladder_equals_sequential_rungs(taylor_p3):

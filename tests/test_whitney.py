@@ -85,6 +85,21 @@ def test_blocked_column_excludes_everything_below():
     assert below and all(not W.is_member(Q) for Q in below)
 
 
+def test_domain_keeps_one_oracle_value_per_column():
+    dec = modp.build_decomposition(3, 1, 3)
+    calls = []
+
+    def oracle(y, r):
+        calls.append((y, r))
+        return y[0] * y[0] + r
+
+    W = modp.whitney_domain(oracle, 0.5, dec)
+    columns = {(Q.k, Q.j): Q for Q in dec.all_cubes()}
+    assert len(calls) == len(columns)
+    assert W.column_excess == {col: oracle(Q.y_center, dec.mbar() * Q.d_Q)
+                               for col, Q in columns.items()}
+
+
 def test_domain_upward_closed_and_monotone_in_tau():
     dec = modp.build_decomposition(2, 1, 4)
     rng = random.Random(11)

@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .complexes import check_modulus
+
 __all__ = [
     "OpenBook",
     "ConeModP",
@@ -41,6 +43,15 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return q.T[: rows.shape[0]]
 
 
+def check_directions(dirs: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the rows of ``dirs`` are pairwise distinct unit vectors."""
+    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
+        raise ValueError(f"{what} directions must be unit vectors")
+    a, b = np.triu_indices(len(dirs), 1)
+    if np.any(np.linalg.norm(dirs[a] - dirs[b], axis=1) < 1e-12):
+        raise ValueError(f"{what} directions must be pairwise distinct")
+
+
 @dataclass
 class OpenBook:
     """Union of half-planes (pages) sharing a spine, coplanar in one 2-plane.
@@ -61,13 +72,7 @@ class OpenBook:
             self.spine = np.zeros((0, np.asarray(self.slice_basis).shape[1]))
         self.slice_basis = np.asarray(self.slice_basis, dtype=float)
         self.pages = np.asarray(self.pages, dtype=float)
-        norms = np.linalg.norm(self.pages, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("page directions must be unit vectors")
-        for a in range(len(self.pages)):
-            for b in range(a + 1, len(self.pages)):
-                if np.linalg.norm(self.pages[a] - self.pages[b]) < 1e-12:
-                    raise ValueError("page directions must be pairwise distinct")
+        check_directions(self.pages, "page")
         if self.slice_basis.ndim != 2 or self.slice_basis.shape[0] != 2:
             raise ValueError("slice basis must have two rows")
         frame = np.vstack([self.spine, self.slice_basis])
@@ -91,15 +96,11 @@ class OpenBook:
         return np.arctan2(self.pages[:, 1], self.pages[:, 0])
 
     def min_opening_angle(self) -> float:
-        """Smallest angle between distinct pages."""
+        """Smallest circular gap between the sorted page angles (2 pi for one page)."""
         if self.n_pages < 2:
             return 2 * math.pi
-        best = 2 * math.pi
-        for a in range(self.n_pages):
-            for b in range(a + 1, self.n_pages):
-                c = float(np.clip(self.pages[a] @ self.pages[b], -1.0, 1.0))
-                best = min(best, math.acos(c))
-        return best
+        theta = np.sort(self.page_angles())
+        return float(np.diff(theta, append=theta[0] + 2 * math.pi).min())
 
     def to_json(self, p: Optional[int] = None, kappa=None) -> dict:
         out = {
@@ -139,6 +140,7 @@ class ConeModP:
     p: int
 
     def __post_init__(self):
+        check_modulus(self.p)
         self.kappa = np.asarray(self.kappa, dtype=int)
         if len(self.kappa) != self.book.n_pages:
             raise ValueError("one multiplicity per page required")
@@ -153,7 +155,7 @@ class ConeModP:
     def from_json(cls, data: dict) -> "ConeModP":
         """The cone of ``OpenBook.to_json(p, kappa)``; ``kappa`` defaults to 1."""
         kappa = [pg.get("kappa", 1) for pg in data["pages"]]
-        return cls(OpenBook.from_json(data), np.array(kappa), int(data["p"]))
+        return cls(OpenBook.from_json(data), np.array(kappa), data["p"])
 
 
 @dataclass
@@ -229,87 +231,59 @@ def excess(T: VarifoldSample, S: OpenBook, q, R: float) -> float:
     return float(T.weights[inside] @ d2) / R ** (T.m + 2)
 
 
-def _page_assignment_cost(pagesC, kappaC, pages0, kappa0, limit):
-    """Greedy nearest-page grouping; returns max angle or None if invalid."""
-    groups = [0] * len(pages0)
-    worst = 0.0
-    for j, v in enumerate(pagesC):
-        cosines = np.clip(pages0 @ v, -1.0, 1.0)
-        i = int(np.argmax(cosines))
-        ang = math.acos(float(cosines[i]))
-        if ang >= limit:
-            return None
-        groups[i] += int(kappaC[j])
-        worst = max(worst, ang)
-    if any(groups[i] != int(kappa0[i]) for i in range(len(pages0))):
-        return None
-    return worst
+def _wrap(x):
+    """Angles reduced to [-pi, pi)."""
+    return np.remainder(np.asarray(x) + math.pi, 2 * math.pi) - math.pi
 
 
 def coherence_angle(C: ConeModP, C0: ConeModP,
                     max_rotation: Optional[float] = None) -> float:
     """Min over spine-fixing plane rotations O of |O - Id| + max page angle.
 
-    |O - Id| is the spectral norm 2|sin(omega/2)| of a rotation by omega in
-    the slice plane.  Raises ValueError("not coherent") when no rotation
-    keeps every page of C within a quarter of C0's opening angle of its
-    group page.  Ties between rotations are broken toward the smaller
-    rotation angle.
+    O rotates the slice plane by omega with |omega| <= span, where span is
+    ``max_rotation`` (default pi/2), capped at pi, and |O - Id| is the
+    spectral norm 2|sin(omega/2)|.  Each rotated page of C is grouped with
+    the nearest page of C0.  A rotation is admissible when every rotated
+    page lies within lam = (C0's opening angle)/4 of its group page and the
+    grouped multiplicities equal C0's.  The windows are closed: a page
+    exactly lam from its group page counts, so the minimum is attained.
+    Raises ValueError("not coherent") when no rotation is admissible.
+
+    Closed form, from the page angles theta_j of C and phi_i of C0.  Fixing
+    the group page i of C's first page fixes every group: with
+    c = wrap(phi_i - theta_0), page j goes to the page sigma(j) of C0
+    nearest theta_j + c, unique since C0's pages are 4 lam apart, and
+    A_j = c + wrap(phi_sigma(j) - theta_j - c) lays it on that page.  The
+    admissible rotations are [max A - lam, min A + lam] within
+    [-span, span], also shifted by 2 pi where the window crosses +-pi.  On
+    it the cost 2|sin(omega/2)| + max_j |omega - A_j| does not increase up
+    to (min A + max A)/2 and does not decrease after it, since the first
+    term's slope lies in [-1, 1], so that midpoint clamped to the interval
+    is the best rotation.  The least cost over the N0 choices of i is
+    returned; ties go to the smaller |omega|.
     """
     if C.p != C0.p:
         raise ValueError("moduli differ")
-    limit = C0.book.min_opening_angle() / 4.0
-    pages0, kappa0 = C0.book.pages, C0.kappa
-    pagesC, kappaC = C.book.pages, C.kappa
-
-    def cost(omega):
-        rot = np.array([[math.cos(omega), -math.sin(omega)],
-                        [math.sin(omega), math.cos(omega)]])
-        worst = _page_assignment_cost(pagesC @ rot.T, kappaC, pages0, kappa0, limit)
-        if worst is None:
-            return None
-        return 2.0 * abs(math.sin(omega / 2.0)) + worst
-
-    if max_rotation is not None and max_rotation == 0.0:
-        c = cost(0.0)
-        if c is None:
-            raise ValueError("not coherent")
-        return c
-
-    span = max_rotation if max_rotation is not None else math.pi / 2
-    grid = np.linspace(-span, span, 4001)
-    vals = [(cost(w), w) for w in grid]
-    feas = [(c, abs(w), w) for c, w in vals if c is not None]
-    if not feas:
+    lam = C0.book.min_opening_angle() / 4.0
+    span = min(math.pi / 2 if max_rotation is None else max_rotation, math.pi)
+    theta, phi = C.book.page_angles(), C0.book.page_angles()
+    best = None
+    for c in _wrap(phi - theta[0]):
+        sigma = np.abs(_wrap(phi - (theta[:, None] + c))).argmin(axis=1)
+        if not np.array_equal(np.bincount(sigma, weights=C.kappa, minlength=len(phi)), C0.kappa):
+            continue
+        A = c + _wrap(phi[sigma] - theta - c)
+        for a in (A, A - 2 * math.pi, A + 2 * math.pi):
+            lo, hi = max(a.max() - lam, -span), min(a.min() + lam, span)
+            if lo > hi:
+                continue
+            omega = float(min(max((a.min() + a.max()) / 2, lo), hi))
+            cost = 2.0 * abs(math.sin(omega / 2.0)) + float(np.abs(omega - a).max())
+            if best is None or (cost, abs(omega)) < best:
+                best = (cost, abs(omega))
+    if best is None:
         raise ValueError("not coherent")
-    _, _, w0 = min(feas)
-    step = grid[1] - grid[0]
-    lo, hi = w0 - step, w0 + step
-
-    # golden-section refine; infeasible points treated as +inf
-    inv = (math.sqrt(5) - 1) / 2
-
-    def safe(w):
-        c = cost(w)
-        return math.inf if c is None else c
-
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = safe(x1), safe(x2)
-    while b - a > 1e-9:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = safe(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = safe(x2)
-    best = min(safe((a + b) / 2), safe(w0), f1, f2)
-    if not math.isfinite(best):
-        raise ValueError("not coherent")
-    return best
+    return best[0]
 
 
 def _smoothstep_cutoff(t: float, rho: float) -> float:

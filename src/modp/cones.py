@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from .books import check_directions
 from .complexes import check_modulus, representative_modp
 
 __all__ = [
@@ -42,13 +43,8 @@ class RayConfiguration:
     def __post_init__(self):
         self.directions = np.asarray(self.directions, dtype=float)
         self.kappa = np.asarray(self.kappa, dtype=int)
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("ray directions must be unit vectors")
-        for a in range(len(self.directions)):
-            for b in range(a + 1, len(self.directions)):
-                if np.linalg.norm(self.directions[a] - self.directions[b]) < 1e-12:
-                    raise ValueError("ray directions must be pairwise distinct")
+        check_modulus(self.p)
+        check_directions(self.directions, "ray")
         if np.any(self.kappa < 1):
             raise ValueError("multiplicities must be positive")
 
@@ -61,7 +57,7 @@ class RayConfiguration:
     def from_json(cls, data: dict) -> "RayConfiguration":
         return cls(np.array([r["dir"] for r in data["rays"]], float),
                    np.array([r["kappa"] for r in data["rays"]], int),
-                   int(data["p"]))
+                   data["p"])
 
 
 @dataclass

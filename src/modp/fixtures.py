@@ -17,6 +17,7 @@ import numpy as np
 from .books import VarifoldSample
 from .complexes import IntegerChain, SimplicialComplex
 from .cones import RayConfiguration
+from .taylor import _resample
 
 __all__ = [
     "y120",
@@ -29,7 +30,6 @@ __all__ = [
     "rasterize_polyline",
     "plane_sample",
     "tilted_plane_sample",
-    "line_sample",
     "FIXTURE_NAMES",
     "make_fixture",
 ]
@@ -173,16 +173,7 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> Integ
     """
     poly = np.asarray(polyline, dtype=float)
     n = int(round(2.0 / spacing))
-    # densify
-    seg = np.diff(poly, axis=0)
-    lens = np.linalg.norm(seg, axis=1)
-    total = float(lens.sum())
-    if total == 0:
-        return cx.chain(1)
-    s = np.concatenate([[0.0], np.cumsum(lens)])
-    t = np.linspace(0, total, max(2, int(math.ceil(total / (spacing / 3))) + 1))
-    dense = np.stack([np.interp(t, s, poly[:, 0]), np.interp(t, s, poly[:, 1])], axis=1)
-    dense = np.clip(dense, -1.0, 1.0)
+    dense = np.clip(_resample(poly, spacing / 3), -1.0, 1.0)
     lattice = np.rint((dense + 1.0) / spacing).astype(int)
     lattice = np.clip(lattice, 0, n)
 
@@ -221,16 +212,6 @@ def tilted_plane_sample(phi: float, delta: float = 0.01,
     t2 = np.array([0.0, 1.0, 0.0])
     tang = np.broadcast_to(np.stack([t1, t2]), (len(pts), 2, 3)).copy()
     return VarifoldSample(pts, wts, 2, tangents=tang, delta=delta)
-
-
-def line_sample(delta: float, extent: float = 2.0) -> VarifoldSample:
-    """Multiplicity-1 line through 0 in the plane (m = 1)."""
-    half = np.arange(0, extent, delta) + delta / 2
-    xs = np.concatenate([-half[::-1], half])
-    pts = np.stack([xs, np.zeros_like(xs)], axis=1)
-    tang = np.broadcast_to(np.array([[1.0, 0.0]]), (len(pts), 1, 2)).copy()
-    return VarifoldSample(pts, np.full(len(pts), delta), 1,
-                          tangents=tang, delta=delta)
 
 
 FIXTURE_NAMES = ("y120", "p5-balanced", "triangle-complex", "disk-mesh",

@@ -23,11 +23,18 @@ def test_dist_to_single_page():
 
 
 def test_book_validation():
-    with pytest.raises(ValueError, match="unit"):
+    with pytest.raises(ValueError, match="^page directions must be unit vectors$"):
         modp.OpenBook(np.zeros((0, 2)), np.eye(2), np.array([[2.0, 0.0]]))
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="^page directions must be pairwise distinct$"):
         modp.OpenBook(np.zeros((0, 2)), np.eye(2),
-                      np.array([[1.0, 0.0], [1.0, 0.0]]))
+                      np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_min_opening_angle_of_close_pages():
+    eps = 1e-8
+    book = _plane_book_2d([17.0, 17.0 + math.degrees(eps), 200.0])
+    assert book.min_opening_angle() == pytest.approx(eps, rel=1e-6)
+    assert _plane_book_2d([40.0]).min_opening_angle() == 2 * math.pi
 
 
 def test_book_rejects_frame_that_is_not_orthonormal():
@@ -119,11 +126,55 @@ def test_coherence_of_rotated_copy(y_cone):
     rotated = modp.ConeModP(_plane_book_2d([90.0 + deg, 210.0 + deg, 330.0 + deg]),
                             [1, 1, 1], 3)
     val = modp.coherence_angle(rotated, y_cone)
-    assert val <= 2.0 * abs(math.sin(omega / 2.0)) + 1e-6
+    assert val == pytest.approx(2.0 * math.sin(omega / 2.0), abs=2e-15)
 
 
 def test_coherence_identity_is_zero(y_cone):
-    assert modp.coherence_angle(y_cone, y_cone) == pytest.approx(0.0, abs=1e-9)
+    assert modp.coherence_angle(y_cone, y_cone) == 0.0
+
+
+def test_coherence_finds_a_narrow_window(y_cone):
+    # the admissible rotations form a window 0.02 degrees wide
+    delta = 0.0225
+    C = modp.ConeModP(_plane_book_2d([90.0 + 29.99 + delta, 210.0 - 29.99 + delta,
+                                      330.0 + delta]), [1, 1, 1], 3)
+    assert modp.coherence_angle(C, y_cone) == pytest.approx(0.5238169417522749, rel=1e-14)
+
+
+def test_coherence_with_pinned_rotation_is_the_largest_page_angle(y_cone):
+    moved = modp.ConeModP(_plane_book_2d([95.0, 207.0, 331.0]), [1, 1, 1], 3)
+    val = modp.coherence_angle(moved, y_cone, max_rotation=0.0)
+    assert val == pytest.approx(math.radians(5.0), abs=1e-15)
+
+
+def _dense_coherence(C, C0, span, n=20001):
+    """Coherence angle over n evenly spaced rotations in [-span, span]."""
+    lam = C0.book.min_opening_angle() / 4.0
+    theta, phi = C.book.page_angles(), C0.book.page_angles()
+    omega = np.linspace(-span, span, n)
+    x = phi[None, None, :] - theta[None, :, None] - omega[:, None, None]
+    gap = np.abs(np.arctan2(np.sin(x), np.cos(x)))
+    group = gap.argmin(axis=2)
+    worst = gap.min(axis=2).max(axis=1)
+    kappa = ((group[..., None] == np.arange(len(phi))) * C.kappa[:, None]).sum(axis=1)
+    ok = (worst <= lam) & (kappa == C0.kappa).all(axis=1)
+    assert ok.any()
+    return float((2.0 * np.abs(np.sin(omega / 2.0)) + worst)[ok].min()), 2.0 * span / (n - 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("span", [math.pi / 2, math.pi])
+def test_coherence_groups_pages_with_multiplicities(seed, span):
+    C0 = modp.ConeModP(_plane_book_2d([0.0, 120.0, 240.0]), [2, 2, 1], 5)
+    rng = np.random.default_rng(seed)
+    # with span = pi the best rotation lies near +-pi, and for seeds 5 and 6
+    # past it: its window crosses from one end of [-pi, pi] to the other
+    turn = 180.0 + rng.uniform(-3.0, 3.0) if span == math.pi else rng.uniform(-25.0, 25.0)
+    angles = np.array([0.0, 0.0, 120.0, 120.0, 240.0]) + rng.uniform(-14.0, 14.0, 5) + turn
+    C = modp.ConeModP(_plane_book_2d(angles), [1] * 5, 5)
+    reference, step = _dense_coherence(C, C0, span)
+    val = modp.coherence_angle(C, C0, max_rotation=span if span == math.pi else None)
+    assert reference - 2.0 * step <= val <= reference + 1e-12
 
 
 def test_incoherent_displacement_raises(y_cone):

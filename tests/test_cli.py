@@ -187,25 +187,62 @@ def test_whitney_csv(tmp_path):
     assert (tmp_path / "cubes.csv").exists()
 
 
-def test_coherence_not_coherent_is_exit_3(tmp_path):
-    def book_json(angles):
-        return {"m": 1, "n": 1, "p": 3, "spine": [],
-                "slice": [[1.0, 0.0], [0.0, 1.0]],
-                "pages": [{"dir": [math.cos(a), math.sin(a)], "kappa": 1}
-                          for a in angles]}
+def _book_json(angles, p=3):
+    return {"m": 1, "n": 1, "p": p, "spine": [], "slice": [[1.0, 0.0], [0.0, 1.0]],
+            "pages": [{"dir": [math.cos(a), math.sin(a)], "kappa": 1} for a in angles]}
 
+
+def test_coherence_not_coherent_is_exit_3(tmp_path):
     base = [math.radians(a) for a in (90.0, 210.0, 330.0)]
-    (tmp_path / "b0.json").write_text(json.dumps(book_json(base)))
+    (tmp_path / "b0.json").write_text(json.dumps(_book_json(base)))
     moved = list(base)
     moved[0] += 2.0 * math.pi / 9.0
     moved[1] -= 2.0 * math.pi / 9.0
-    (tmp_path / "b1.json").write_text(json.dumps(book_json(moved)))
+    (tmp_path / "b1.json").write_text(json.dumps(_book_json(moved)))
     ok = run(["coherence", "--book", "b0.json", "--book0", "b0.json"], tmp_path)
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["coherence_angle"] == pytest.approx(0.0, abs=1e-9)
     bad = run(["coherence", "--book", "b1.json", "--book0", "b0.json"], tmp_path)
     assert bad.returncode == 3
     assert "not coherent" in bad.stdout
+
+
+def test_coherence_is_exact(tmp_path):
+    y = [math.radians(a) for a in (90.0, 210.0, 330.0)]
+    # the admissible rotations form a window 0.02 degrees wide
+    narrow = [math.radians(a + 0.0225) for a in (90.0 + 29.99, 210.0 - 29.99, 330.0)]
+    (tmp_path / "y.json").write_text(json.dumps(_book_json(y)))
+    (tmp_path / "narrow.json").write_text(json.dumps(_book_json(narrow)))
+    (tmp_path / "turned.json").write_text(json.dumps(_book_json([a + 0.7 for a in y])))
+    res = run(["coherence", "--book", "narrow.json", "--book0", "y.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["coherence_angle"] == pytest.approx(0.5238169417522749,
+                                                                      rel=1e-14)
+    res = run(["coherence", "--book", "turned.json", "--book0", "turned.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert '"coherence_angle": 0.0,' in res.stdout
+
+
+@pytest.mark.parametrize("p", [3.7, 3.5, 1])
+def test_cone_files_with_a_bad_modulus_are_exit_2(tmp_path, p):
+    assert run(["make-fixture", "y120"], tmp_path).returncode == 0
+    config = json.loads((tmp_path / "y120.json").read_text())
+    config["p"] = p
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    (tmp_path / "book.json").write_text(json.dumps(_book_json([0.0, 2.0, 4.0], p)))
+    for args in (["classify-cone", "--config", "bad.json"],
+                 ["coherence", "--book", "book.json", "--book0", "book.json"]):
+        res = run(args, tmp_path)
+        assert res.returncode == 2, res.stdout
+        assert "p must be an integer >= 2" in res.stderr
+        assert res.stdout == ""
+
+
+def test_classify_cone_rejects_p_zero(tmp_path):
+    assert run(["make-fixture", "y120"], tmp_path).returncode == 0
+    res = run(["classify-cone", "--config", "y120.json", "--p", "0"], tmp_path)
+    assert res.returncode == 2
+    assert "p must be an integer >= 2" in res.stderr
 
 
 def test_bad_json_is_exit_2(tmp_path):

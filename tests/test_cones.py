@@ -50,6 +50,26 @@ def test_ray_configuration_json_round_trip():
     assert back.p == cfg.p
 
 
+def test_ray_configuration_validation():
+    kappa = np.array([1, 1])
+    with pytest.raises(ValueError, match="^ray directions must be unit vectors$"):
+        modp.RayConfiguration(np.array([[1.0, 0.0], [0.0, 2.0]]), kappa, 3)
+    with pytest.raises(ValueError, match="^ray directions must be pairwise distinct$"):
+        modp.RayConfiguration(np.array([[0.0, 1.0], [0.0, 1.0]]), kappa, 3)
+
+
+@pytest.mark.parametrize("p", [3.7, 3.0, 1, 0, -3])
+def test_cones_reject_a_bad_modulus(p):
+    data = fixtures.y120().to_json()
+    data["p"] = p
+    with pytest.raises(ValueError, match=r"^p must be an integer >= 2$"):
+        modp.RayConfiguration.from_json(data)
+    book = {"m": 1, "n": 1, "p": p, "spine": [], "slice": [[1.0, 0.0], [0.0, 1.0]],
+            "pages": [{"dir": ray["dir"]} for ray in data["rays"]]}
+    with pytest.raises(ValueError, match=r"^p must be an integer >= 2$"):
+        modp.ConeModP.from_json(book)
+
+
 def test_segment_swap_at_120_degrees():
     cfg = fixtures.y120()
     cert = modp.segment_swap_certificate(cfg, 0, 1)

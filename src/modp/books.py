@@ -236,6 +236,10 @@ def _wrap(x):
     return np.remainder(np.asarray(x) + math.pi, 2 * math.pi) - math.pi
 
 
+class NotCoherentError(ValueError):
+    """No spine-fixing rotation carries one cone's pages onto the other's."""
+
+
 def coherence_angle(C: ConeModP, C0: ConeModP,
                     max_rotation: Optional[float] = None) -> float:
     """Min over spine-fixing plane rotations O of |O - Id| + max page angle.
@@ -247,7 +251,10 @@ def coherence_angle(C: ConeModP, C0: ConeModP,
     page lies within lam = (C0's opening angle)/4 of its group page and the
     grouped multiplicities equal C0's.  The windows are closed: a page
     exactly lam from its group page counts, so the minimum is attained.
-    Raises ValueError("not coherent") when no rotation is admissible.
+    Raises NotCoherentError("not coherent"), a ValueError, when no rotation
+    is admissible.  Page angles compare only within one frame: books whose
+    spines span different subspaces, or whose slice bases differ by more
+    than 1e-9, raise ValueError, as do different moduli.
 
     Closed form, from the page angles theta_j of C and phi_i of C0.  Fixing
     the group page i of C's first page fixes every group: with
@@ -264,6 +271,12 @@ def coherence_angle(C: ConeModP, C0: ConeModP,
     """
     if C.p != C0.p:
         raise ValueError("moduli differ")
+    a, b = C.book, C0.book
+    if (a.m != b.m or a.ambient_dim != b.ambient_dim
+            or np.abs(a.spine.T @ a.spine - b.spine.T @ b.spine).max() > 1e-9
+            or np.abs(a.slice_basis - b.slice_basis).max() > 1e-9):
+        raise ValueError("books have different frames: the spines must span the same "
+                         "subspace and the slice bases agree within 1e-9")
     lam = C0.book.min_opening_angle() / 4.0
     span = min(math.pi / 2 if max_rotation is None else max_rotation, math.pi)
     theta, phi = C.book.page_angles(), C0.book.page_angles()
@@ -282,7 +295,7 @@ def coherence_angle(C: ConeModP, C0: ConeModP,
             if best is None or (cost, abs(omega)) < best:
                 best = (cost, abs(omega))
     if best is None:
-        raise ValueError("not coherent")
+        raise NotCoherentError("not coherent")
     return best[0]
 
 

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .books import ConeModP, OpenBook, VarifoldSample, coherence_angle, density_ratio, excess
+from .books import (ConeModP, NotCoherentError, OpenBook, VarifoldSample, coherence_angle,
+                    density_ratio, excess)
 from .complexes import IntegerChain, ModPClass, SimplicialComplex, reduce_modp
 from .cones import (BALANCE_TOL, JUNCTION_MERGE_TOL, RayConfiguration, check_structure,
                     solve_network)
@@ -196,7 +197,7 @@ def cmd_coherence(args) -> int:
     C0 = ConeModP.from_json(_load_json(args.book0))
     try:
         val = coherence_angle(C, C0)
-    except ValueError as exc:
+    except NotCoherentError as exc:
         _emit({"error": str(exc), "meta": _meta(args)}, args.out)
         return 3
     _emit({"coherence_angle": val,

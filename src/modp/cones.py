@@ -6,6 +6,7 @@ multiplicities, under the euclidean or a conformal metric.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -200,8 +201,8 @@ class WeightedNetwork:
     arcs: list
     weight_id: str
     p: int = 0
-    # topologies whose every start failed, and starts (contraction re-solves
-    # included) that raised ValueError or FloatingPointError; not in to_json
+    # topologies whose every start failed, and starts, contraction re-solves
+    # and candidates that raised ValueError or FloatingPointError; not in to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
 
@@ -442,9 +443,11 @@ def _shoot_bvp(a, b, metric, theta0, length0, steps=512):
 
 
 class _TopologyProblem:
-    """Geometry optimization of one tree topology with fixed multiplicities."""
+    """Geometry optimization of one tree topology with fixed multiplicities:
+    the variables are the junction coordinates, each live arc one straight
+    segment weighted by the midpoint rule."""
 
-    def __init__(self, edges, kappa, terminals, metric, k_interior):
+    def __init__(self, edges, kappa, terminals, metric):
         self.edges = edges
         self.kappa = kappa
         self.terminals = np.asarray(terminals, dtype=float)
@@ -453,25 +456,18 @@ class _TopologyProblem:
         self.n_junc = self.n_nodes - self.n_term
         self.metric = metric
         self.curved = not isinstance(metric, EuclideanWeight)
-        self.k_int = k_interior if self.curved else 0
         self.live = [i for i, k in enumerate(kappa) if k != 0]
         self.heads = np.array([edges[i][0] for i in self.live], dtype=int)
         self.tails = np.array([edges[i][1] for i in self.live], dtype=int)
         self.weights = np.array([abs(kappa[i]) for i in self.live], dtype=float)
 
-    # variable layout: junction coords then per-live-edge interior points
-    def polylines(self, x):
-        """Node array and the live arcs' polylines, stacked (n_live, k_int + 2, 2)."""
-        juncs = x[: 2 * self.n_junc].reshape(self.n_junc, 2)
-        nodes = np.vstack([self.terminals, juncs])
-        polys = np.empty((len(self.live), self.k_int + 2, 2))
-        polys[:, 0] = nodes[self.heads]
-        polys[:, 1:-1] = x[2 * self.n_junc:].reshape(len(self.live), self.k_int, 2)
-        polys[:, -1] = nodes[self.tails]
-        return nodes, polys
+    def segments(self, x):
+        """Node array and the live arcs' segments, stacked (n_live, 2, 2)."""
+        nodes = np.vstack([self.terminals, x.reshape(self.n_junc, 2)])
+        return nodes, np.stack([nodes[self.heads], nodes[self.tails]], axis=1)
 
     def objective_and_grad(self, x):
-        _, polys = self.polylines(x)
+        _, polys = self.segments(x)
         seg = np.diff(polys, axis=1)
         lens = np.maximum(np.linalg.norm(seg, axis=2), 1e-300)
         mids = 0.5 * (polys[:, :-1] + polys[:, 1:])
@@ -481,7 +477,7 @@ class _TopologyProblem:
         total = float(self.weights @ np.sum(w * lens, axis=1))
         k = self.weights[:, None, None]
         units = seg / lens[..., None]
-        # contribution of segment s to endpoints s and s+1
+        # contribution of the segment to its two endpoints
         half = 0.5 * gw * lens[..., None]
         wu = w[..., None] * units
         gpoly = np.zeros_like(polys)
@@ -490,30 +486,16 @@ class _TopologyProblem:
         grad_nodes = np.zeros((self.n_nodes, 2))
         np.add.at(grad_nodes, self.heads, gpoly[:, 0])
         np.add.at(grad_nodes, self.tails, gpoly[:, -1])
-        return total, np.concatenate([grad_nodes[self.n_term:].ravel(),
-                                      gpoly[:, 1:-1].ravel()])
-
-    def initial_vector(self, junc_init):
-        junc = np.asarray(junc_init, dtype=float).reshape(-1, 2)
-        nodes = np.vstack([self.terminals, junc])
-        t = np.linspace(0, 1, self.k_int + 2)[1:-1, None]
-        pts = nodes[self.heads][:, None] * (1 - t) + nodes[self.tails][:, None] * t
-        return np.concatenate([junc.ravel(), pts.ravel()])
-
-    def bounds(self, nvar):
-        if getattr(self.metric, "min_x", None) is None:
-            return None
-        lo = np.full(nvar, -np.inf)
-        lo[0::2] = self.metric.min_x  # x coordinate of every point
-        return list(zip(lo, np.full(nvar, np.inf)))
+        return total, grad_nodes[self.n_term:].ravel()
 
     def solve(self, x0):
         from scipy.optimize import minimize
 
         if len(x0) == 0:
             return self.objective_and_grad(x0)[0], x0
-        res = minimize(self.objective_and_grad, x0, jac=True, method="L-BFGS-B",
-                       bounds=self.bounds(len(x0)),
+        min_x = getattr(self.metric, "min_x", None)
+        bounds = None if min_x is None else [(min_x, None), (None, None)] * self.n_junc
+        res = minimize(self.objective_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
         return float(res.fun), res.x
 
@@ -524,33 +506,35 @@ def _merged(prob, x, keep=None, gone=None):
     and a start vector at the current positions, the merged node at
     ``keep``'s.  Without ``gone`` it only drops the dead arcs and the
     junctions they leave without an arc."""
-    nodes, polys = prob.polylines(x)
-    arcs = [(keep if a == gone else a, keep if b == gone else b, prob.kappa[i], poly)
-            for i, poly in zip(prob.live, polys) for a, b in [prob.edges[i]]]
+    nodes, _ = prob.segments(x)
+    arcs = [(keep if a == gone else a, keep if b == gone else b, prob.kappa[i])
+            for i in prob.live for a, b in [prob.edges[i]]]
     arcs = [arc for arc in arcs if arc[0] != arc[1]]
-    juncs = sorted({v for a, b, *_ in arcs for v in (a, b) if v >= prob.n_term})
+    juncs = sorted({v for a, b, _ in arcs for v in (a, b) if v >= prob.n_term})
     label = {v: prob.n_term + k for k, v in enumerate(juncs)}
-    sub = _TopologyProblem([(label.get(a, a), label.get(b, b)) for a, b, *_ in arcs],
-                           [k for *_, k, _ in arcs], prob.terminals, prob.metric, prob.k_int)
-    x0 = np.concatenate([nodes[juncs].ravel()] + [poly[1:-1].ravel() for *_, poly in arcs])
-    return sub, x0
+    sub = _TopologyProblem([(label.get(a, a), label.get(b, b)) for a, b, _ in arcs],
+                           [k for _, _, k in arcs], prob.terminals, prob.metric)
+    return sub, nodes[juncs].ravel()
 
 
 def _contract(val, prob, x):
     """Contraction rule for a solved tree: merge the ends of an arc at a
     junction, shortest arc first, when the arc is shorter than
     ``JUNCTION_MERGE_TOL`` times the terminals' span or the junction has
-    fewer than three live arcs.  Each merge re-solves the smaller tree from
-    the current positions and is kept when its mass is not higher beyond
-    round-off, until no merge is left.  Returns the contracted problem, its
-    variables and the number of re-solves that raised."""
+    fewer than three live arcs, and re-solve the smaller tree from the
+    current positions, until no merge is left.  A merge at a junction of
+    fewer than three live arcs is always kept (such a node is a bend, which
+    lightens a straight arc under a conformal weight but not its
+    geodesic); any other when its mass is not higher beyond round-off.
+    Returns the contracted problem, its variables and the number of
+    re-solves that raised."""
     tol = JUNCTION_MERGE_TOL * float(np.max(np.ptp(prob.terminals, axis=0)))
     prob, x = _merged(prob, x)
     n = prob.n_term
     failed = 0
     while True:
-        _, polys = prob.polylines(x)
-        lengths = np.linalg.norm(np.diff(polys, axis=1), axis=2).sum(axis=1)
+        _, polys = prob.segments(x)
+        lengths = np.linalg.norm(polys[:, 1] - polys[:, 0], axis=1)
         degree = np.bincount(np.r_[prob.heads, prob.tails], minlength=prob.n_nodes)
         thin = (degree < 3) & (np.arange(prob.n_nodes) >= n)
         for i in np.argsort(lengths, kind="stable"):
@@ -563,7 +547,7 @@ def _contract(val, prob, x):
             except (ValueError, FloatingPointError):
                 failed += 1
                 continue
-            if sub_val <= val * (1 + 1e-12):
+            if sub_val <= val * (1 + 1e-12) or thin[keep] or thin[gone]:
                 prob, x, val = sub, sub_x, sub_val
                 break
         else:
@@ -571,23 +555,31 @@ def _contract(val, prob, x):
 
 
 def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
-                  k_interior: int = 48) -> WeightedNetwork:
+                  k_interior=None) -> WeightedNetwork:
     """Minimal-mass branched 1-current mod p spanning the given terminals.
 
     terminals: 2 to 6 ((x, y), multiplicity) pairs with finite points and
     integer multiplicities; p: an integer >= 2.  Enumerates the full
     Steiner topologies (every terminal a leaf, every junction of degree 3),
-    derives the forced mod-p arc multiplicities per topology, optimizes the
-    junction positions and arc interiors by L-BFGS from three seeded starts
-    (one when there is no junction), and takes the global minimum, ties to
-    the first topology.
-    The winner is then contracted (``_contract``), so every junction has at
-    least three live arcs.  Under a conformal weight its arcs are finally
-    replaced by two-point geodesics (``_shoot_bvp``: closed-form catenaries
-    and parabolas under the shipped weights, RK4 shooting under any other)
-    and its junctions re-balanced on the chords of the arcs' end steps
-    (``_shooting_polish``).
+    derives the forced mod-p arc multiplicities per topology, and optimizes
+    the junctions alone by L-BFGS-B from three seeded starts (one when there
+    is no junction), under every weight: each arc is one straight segment
+    weighted by the midpoint rule, and a weight's ``min_x`` bounds x.
+    Each topology's best start is a candidate; in ascending order of mass,
+    ties to the first topology, a candidate is contracted (``_contract``),
+    so every junction has at least three live arcs, and under a conformal
+    weight its arcs become two-point geodesics (``_shoot_bvp``: closed-form
+    catenaries and parabolas under the shipped weights, RK4 shooting under
+    any other) with its junctions re-balanced on the chords of the arcs'
+    end steps (``_shooting_polish``).  The first candidate that raises no
+    ValueError or FloatingPointError is returned; each one that does counts
+    in ``failed_starts``, and with none left RuntimeError is raised.
+    ``k_interior`` is deprecated and ignored: any value but None warns.
     """
+    if k_interior is not None:
+        warnings.warn(DeprecationWarning(
+            "k_interior is ignored: the network solver starts from the junctions alone"),
+            stacklevel=2)
     terminals = list(terminals)
     if not 2 <= len(terminals) <= 6:
         raise ValueError(f"need 2 to 6 terminals, got {len(terminals)}")
@@ -608,12 +600,12 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     n = len(pts)
     njunc = n - 2
     centre = np.tile(pts.mean(axis=0), njunc)
-    best = None
+    candidates = []
     skipped = failed = 0
     for edges in sorted(_full_topologies(n)):
         # every topology is a tree, so the sum check above balances it
         kappa = tree_multiplicities(edges, n + njunc, mult, p)
-        prob = _TopologyProblem(list(edges), kappa, pts, metric, k_interior)
+        prob = _TopologyProblem(list(edges), kappa, pts, metric)
         inits = [centre] + [centre + rng.normal(scale=0.05 * (1 + pts.std()), size=2 * njunc)
                             for _ in range(2 if njunc else 0)]
         local_best = None
@@ -622,7 +614,7 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
                 init = init.copy()
                 init[0::2] = np.maximum(init[0::2], 2 * metric.min_x)
             try:
-                val, x = prob.solve(prob.initial_vector(init))
+                val, x = prob.solve(init)
             except (ValueError, FloatingPointError):
                 failed += 1
                 continue
@@ -630,28 +622,30 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
                 local_best = (val, x)
         if local_best is None:
             skipped += 1
-        elif best is None or local_best[0] < best[0]:
-            best = (local_best[0], prob, local_best[1])
-    if best is None:
-        raise RuntimeError("all topologies failed to optimize")
+        else:
+            candidates.append((local_best[0], prob, local_best[1]))
 
-    prob, x, failed_merges = _contract(*best)
-    failed += failed_merges
-    nodes, stacked = prob.polylines(x)
-    polys = dict(zip(prob.live, stacked))
-
-    if prob.curved:
-        nodes, polys = _shooting_polish(prob, nodes, polys)
-
-    arcs = [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
-                       polyline_weighted_length(polys[idx], metric))
-            for idx in prob.live]
-    return WeightedNetwork(nodes, mult, arcs, getattr(metric, "name", "conformal"),
-                           p, skipped, failed)
+    for val, prob, x in sorted(candidates, key=lambda c: c[0]):
+        try:
+            prob, x, failed_merges = _contract(val, prob, x)
+            failed += failed_merges
+            nodes, stacked = prob.segments(x)
+            polys = dict(zip(prob.live, stacked))
+            if prob.curved:
+                nodes, polys = _shooting_polish(prob, nodes, polys)
+            arcs = [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
+                               polyline_weighted_length(polys[idx], metric))
+                    for idx in prob.live]
+        except (ValueError, FloatingPointError):
+            failed += 1
+            continue
+        return WeightedNetwork(nodes, mult, arcs, getattr(metric, "name", "conformal"),
+                               p, skipped, failed)
+    raise RuntimeError("all topologies failed to optimize")
 
 
 def _shooting_polish(prob, nodes, polys):
-    """Replace polyline arcs by two-point geodesics (``_shoot_bvp``, closed
+    """Replace straight arcs by two-point geodesics (``_shoot_bvp``, closed
     form under the shipped weights) and re-polish the junctions by Newton
     steps on a finite-difference Hessian with a line search, for conformal
     metrics.  The balance takes the exact start angle of an arc that leaves

@@ -164,17 +164,23 @@ def grid_square_complex(n: int):
     return SimplicialComplex(verts, {1: edges, 2: tris}), spacing
 
 
+# width, in lattice units, of the band below a half-lattice tie that rounds up
+_TIE_BAND = 1e-9
+
+
 def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> IntegerChain:
     """Snap a polyline onto the 1-skeleton of a grid_square_complex.
 
     Points are clamped to the square, snapped to nearest lattice vertices,
     and consecutive snapped vertices are joined by axis/diagonal edge walks.
-    Returns the 1-chain of the walk (edges oriented along it).
+    Half-lattice ties round up, and so does a coordinate up to
+    ``_TIE_BAND`` lattice units below one, so round-off at a tie cannot
+    move an edge.  Returns the 1-chain of the walk (edges oriented along it).
     """
     poly = np.asarray(polyline, dtype=float)
     n = int(round(2.0 / spacing))
     dense = np.clip(_resample(poly, spacing / 3), -1.0, 1.0)
-    lattice = np.rint((dense + 1.0) / spacing).astype(int)
+    lattice = np.floor((dense + 1.0) / spacing + 0.5 + _TIE_BAND).astype(int)
     lattice = np.clip(lattice, 0, n)
 
     walk = [lattice[0]]

@@ -186,6 +186,28 @@ def test_incoherent_displacement_raises(y_cone):
         modp.coherence_angle(moved, y_cone, max_rotation=0.0)
 
 
+def _spine_book_3d(spine, slice_basis):
+    """Three pages at 120 degrees around the given spine of R^3."""
+    pages = [[math.cos(a), math.sin(a)] for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return modp.OpenBook(np.array([spine], float), np.array(slice_basis, float), pages)
+
+
+def test_coherence_compares_books_in_one_frame_only():
+    e3 = modp.ConeModP(_spine_book_3d([0, 0, 1], [[1, 0, 0], [0, 1, 0]]), [1, 1, 1], 3)
+    e1 = modp.ConeModP(_spine_book_3d([1, 0, 0], [[0, 1, 0], [0, 0, 1]]), [1, 1, 1], 3)
+    # the same page angles in different frames are different cones
+    with pytest.raises(ValueError, match="different frames"):
+        modp.coherence_angle(e3, e1)
+    # a spine of opposite sign spans the same line
+    flipped = modp.ConeModP(_spine_book_3d([0, 0, -1], [[1, 0, 0], [0, 1, 0]]), [1, 1, 1], 3)
+    assert modp.coherence_angle(flipped, e3) == 0.0
+    # a turned slice basis is another frame for the same plane
+    c, s = math.cos(0.3), math.sin(0.3)
+    turned = modp.ConeModP(_spine_book_3d([0, 0, 1], [[c, s, 0], [-s, c, 0]]), [1, 1, 1], 3)
+    with pytest.raises(ValueError, match="different frames"):
+        modp.coherence_angle(turned, e3)
+
+
 def test_retraction_properties(y_cone):
     book = y_cone.book
     rho = 0.1

@@ -207,6 +207,28 @@ def test_coherence_not_coherent_is_exit_3(tmp_path):
     assert "not coherent" in bad.stdout
 
 
+def _spine_book_json(spine, slice_basis, p=3):
+    angles = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    return {"m": 2, "n": 1, "p": p, "spine": [spine], "slice": slice_basis,
+            "pages": [{"dir": [math.cos(a), math.sin(a)], "kappa": 1} for a in angles]}
+
+
+@pytest.mark.parametrize("book, book0, match", [
+    pytest.param(_book_json([0.0, 2.0, 4.0], 5), _book_json([0.0, 2.0, 4.0]), "moduli differ",
+                 id="p5-against-p3"),
+    pytest.param(_spine_book_json([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 _spine_book_json([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                 "different frames", id="spine-e1-against-e3"),
+])
+def test_coherence_bad_input_is_exit_2(tmp_path, book, book0, match):
+    (tmp_path / "b.json").write_text(json.dumps(book))
+    (tmp_path / "b0.json").write_text(json.dumps(book0))
+    res = run(["coherence", "--book", "b.json", "--book0", "b0.json"], tmp_path)
+    assert res.returncode == 2, res.stdout
+    assert match in res.stderr
+    assert res.stdout == ""
+
+
 def test_coherence_is_exact(tmp_path):
     y = [math.radians(a) for a in (90.0, 210.0, 330.0)]
     # the admissible rotations form a window 0.02 degrees wide

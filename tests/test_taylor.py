@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def _two_point_pairs(weight, count, seed):
     return pairs
 
 
-# the Taylor junction as the network solver returns it (k_interior=8)
+# the Taylor junction as the network solver returns it
 TAYLOR_JUNCTION_X = 0.8368776394247799
 TWO_POINT_CASES = [
     *_two_point_pairs("x", 3, 12), *_two_point_pairs("sqrtx", 3, 12),
@@ -202,8 +203,7 @@ def test_taylor_network_uses_closed_form_arcs(monkeypatch):
         raise AssertionError("RK4 shooting under a shipped weight")
 
     monkeypatch.setattr(cones, "_rk4_shoot", no_rk4)
-    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"),
-                             k_interior=8)
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"))
     (j,) = net.junctions
     # the biased junction that the benchmark's surface workload pins: the
     # polish balances end-step chords (see the strict xfail above); the
@@ -214,10 +214,21 @@ def test_taylor_network_uses_closed_form_arcs(monkeypatch):
 
 
 def test_taylor_network_under_array_only_weight_shoots_the_same_junction():
-    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=ArrayOnly("x"), k_interior=8)
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=ArrayOnly("x"))
     (j,) = net.junctions
     np.testing.assert_allclose(net.nodes[j], [TAYLOR_JUNCTION_X, 0.0], rtol=0, atol=1e-9)
     assert net.mass == pytest.approx(1.15677558316804, abs=1e-9)
+
+
+def test_k_interior_is_deprecated_and_ignored():
+    metric = modp.WeightedMetric("x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=metric)
+    with pytest.warns(DeprecationWarning, match="k_interior is ignored"):
+        old = modp.solve_network(TAYLOR_TERMINALS, 3, weight=metric, k_interior=8)
+    assert np.array_equal(old.nodes, net.nodes)
+    assert old.to_json() == net.to_json()
 
 
 def _revolve_loop(net, delta):
@@ -248,8 +259,7 @@ def _revolve_loop(net, delta):
 def test_revolve_sample_matches_point_loop():
     from modp.taylor import _revolve_sample
 
-    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"),
-                             k_interior=8)
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"))
     sample = _revolve_sample(net, 0.04)
     pts, wts, frames = _revolve_loop(net, 0.04)
     assert sample.points.shape == pts.shape and sample.tangents.shape == frames.shape
@@ -268,9 +278,9 @@ def test_build_validation():
 
 
 def test_unbalanced_junction_is_an_error_not_a_circle():
-    # the junction polish is skipped on this network and leaves the junction
-    # unbalanced (residual about 0.4)
-    with pytest.raises(RuntimeError, match=r"junction 3 .* unbalanced: residual 0\.4"):
+    # the junction-only start puts the junction at the min_x clamp on the
+    # axis, where the arcs do not balance (ROADMAP item 2's axis case)
+    with pytest.raises(RuntimeError, match=r"junction 3 .* unbalanced: residual 2\.18"):
         modp.build_taylor_example(3, [-60.0, 10.0, 50.0])
 
 
@@ -325,9 +335,6 @@ def test_flat_ladder_values_are_pinned(taylor_p3):
     assert all(row["flat_gap"] <= 1e-9 for row in rows)
 
 
-@pytest.mark.xfail(strict=True, reason="rasterize_polyline rounds densified samples with "
-                   "np.rint, and the samples of a ray at 120 or 240 degrees land on "
-                   "half-lattice ties, so a round-off turn of the ray moves its edges")
 def test_rasterized_ray_is_stable_under_round_off():
     cx, spacing = fixtures.grid_square_complex(modp.taylor.LADDER_GRID_N)
 

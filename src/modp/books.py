@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import check_modulus
-
 __all__ = [
     "OpenBook",
     "ConeModP",
@@ -140,6 +138,8 @@ class ConeModP:
     p: int
 
     def __post_init__(self):
+        from .complexes import check_modulus
+
         check_modulus(self.p)
         self.kappa = np.asarray(self.kappa, dtype=int)
         if len(self.kappa) != self.book.n_pages:

@@ -8,25 +8,14 @@ self-describing; all numeric output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .books import (ConeModP, NotCoherentError, OpenBook, VarifoldSample, coherence_angle,
-                    density_ratio, excess)
-from .complexes import IntegerChain, ModPClass, SimplicialComplex, reduce_modp
-from .cones import (BALANCE_TOL, JUNCTION_MERGE_TOL, RayConfiguration, check_structure,
-                    solve_network)
-from .fixtures import FIXTURE_NAMES, make_fixture
-from .flatnorm import brute_force_flat_oracle, flat_norm_modp, plateau_modp
-from .monotonicity import density_profile
-from .taylor import (RevolvedCurrent, WeightedMetric, build_taylor_example, decay_scan,
-                     tangent_book_at)
-from .whitney import build_decomposition, whitney_domain
+
+# Each command imports the modules it runs, so that a command pays only for
+# its own imports (numpy, and scipy where a solver needs it).
 
 
 def _load_json(path):
@@ -59,6 +48,9 @@ def _region_from_json(data):
 
 
 def cmd_flat_norm(args) -> int:
+    from .complexes import IntegerChain, SimplicialComplex
+    from .flatnorm import brute_force_flat_oracle, flat_norm_modp
+
     cx = SimplicialComplex.from_json(_load_json(args.complex))
     T = IntegerChain.from_json(cx, _load_json(args.chain))
     region = _region_from_json(_load_json(args.region)) if args.region else None
@@ -75,6 +67,9 @@ def cmd_flat_norm(args) -> int:
 
 
 def cmd_plateau(args) -> int:
+    from .complexes import IntegerChain, SimplicialComplex, reduce_modp
+    from .flatnorm import plateau_modp
+
     cx = SimplicialComplex.from_json(_load_json(args.complex))
     b = IntegerChain.from_json(cx, _load_json(args.boundary))
     sol = plateau_modp(reduce_modp(b, args.p), args.p, time_limit=args.time_limit)
@@ -85,6 +80,8 @@ def cmd_plateau(args) -> int:
 
 
 def cmd_classify_cone(args) -> int:
+    from .cones import BALANCE_TOL, RayConfiguration, check_structure
+
     data = _load_json(args.config)
     if args.p is not None:
         data["p"] = args.p
@@ -99,9 +96,16 @@ def cmd_classify_cone(args) -> int:
 
 
 def cmd_solve_network(args) -> int:
+    from .cones import JUNCTION_MERGE_TOL, solve_network
+
     spec = _load_json(args.terminals)
     terms = [(t["point"], t["multiplicity"]) for t in spec["terminals"]]
-    weight = "euclidean" if args.weight == "euclidean" else WeightedMetric(args.weight)
+    if args.weight == "euclidean":
+        weight = "euclidean"
+    else:
+        from .taylor import WeightedMetric
+
+        weight = WeightedMetric(args.weight)
     net = solve_network(terms, args.p, weight=weight, seed=args.seed)
     payload = net.to_json()
     payload["meta"] = _meta(args, weight=args.weight,
@@ -111,6 +115,8 @@ def cmd_solve_network(args) -> int:
 
 
 def cmd_taylor(args) -> int:
+    from .taylor import build_taylor_example
+
     angles = _parse_floats(args.angles)
     R = build_taylor_example(args.p, angles, radius=args.radius,
                              weight=args.weight, delta=args.delta,
@@ -123,6 +129,10 @@ def cmd_taylor(args) -> int:
 
 
 def cmd_decay_scan(args) -> int:
+    import csv
+
+    from .taylor import RevolvedCurrent, decay_scan
+
     R = RevolvedCurrent.from_json(_load_json(args.surface))
     c = R.singular_circles[0]
     q = (c["x"], 0.0, c["y"])
@@ -139,8 +149,17 @@ def cmd_decay_scan(args) -> int:
 
 
 def cmd_whitney(args) -> int:
+    import csv
+
+    from .whitney import build_decomposition, whitney_domain
+
     dec = build_decomposition(args.m, args.M, args.depth)
     if args.excess_from:
+        import numpy as np
+
+        from .books import excess
+        from .taylor import RevolvedCurrent, tangent_book_at
+
         R = RevolvedCurrent.from_json(_load_json(args.excess_from))
         c = R.singular_circles[0]
         book = tangent_book_at(R, np.array([c["x"], 0.0, c["y"]]))
@@ -169,6 +188,11 @@ def cmd_whitney(args) -> int:
 
 
 def cmd_monotonicity(args) -> int:
+    import csv
+
+    from .books import VarifoldSample
+    from .monotonicity import density_profile
+
     sample = VarifoldSample.from_json(_load_json(args.sample))
     center = _parse_floats(args.center)
     radii = _parse_floats(args.radii)
@@ -185,6 +209,8 @@ def cmd_monotonicity(args) -> int:
 
 
 def cmd_excess(args) -> int:
+    from .books import OpenBook, VarifoldSample, excess
+
     sample = VarifoldSample.from_json(_load_json(args.sample))
     book = OpenBook.from_json(_load_json(args.book))
     val = excess(sample, book, _parse_floats(args.center), args.radius)
@@ -193,6 +219,8 @@ def cmd_excess(args) -> int:
 
 
 def cmd_coherence(args) -> int:
+    from .books import ConeModP, NotCoherentError, coherence_angle
+
     C = ConeModP.from_json(_load_json(args.book))
     C0 = ConeModP.from_json(_load_json(args.book0))
     try:
@@ -206,6 +234,8 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .books import VarifoldSample, density_ratio
+
     sample = VarifoldSample.from_json(_load_json(args.sample))
     val = density_ratio(sample, _parse_floats(args.center), args.radius)
     _emit({"density_ratio": val, "meta": _meta(args)}, args.out)
@@ -213,6 +243,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_make_fixture(args) -> int:
+    from .fixtures import FIXTURE_NAMES, make_fixture
+
     if args.name not in FIXTURE_NAMES:
         sys.stderr.write("unknown fixture; catalogue: "
                          + ", ".join(FIXTURE_NAMES) + "\n")

@@ -1,8 +1,8 @@
 """Oriented simplicial complexes and integer chains.
 
 A k-chain is one read-only int64 vector with one entry per k-simplex: its
-boundary is a product with a signed incidence matrix and its mass one dot
-product with the simplex volumes.  Coefficients are exact; an input, a sum,
+boundary is one ``np.add.at`` of its signed entries onto the faces of each
+simplex, and its mass one dot product with the simplex volumes.  Coefficients are exact; an input, a sum,
 a scalar product or a boundary that would leave the int64 range raises
 ``OverflowError`` instead of wrapping.  Geometry (simplex volumes) is
 computed once from vertex coordinates at construction time.
@@ -12,8 +12,10 @@ indices per degree; the order of a row fixes the orientation.  Each input
 check is an array test over a degree, each degree's volumes come from one
 batched Gram determinant and orientation signs from ``_parity``.  ``_find``
 looks simplices up by one ``np.searchsorted`` over a degree's rows, sorted
-once at construction; it finds the faces for the signed incidence matrices,
-and boundary-of-boundary = 0 is checked as a self-test of the signs.
+once at construction; it finds each simplex's faces and their signs, and
+boundary-of-boundary = 0 is checked on them as a self-test of the signs.
+The sparse incidence matrices, which the integer programs take, are built
+from the same faces on first access, so that a complex loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -68,8 +71,6 @@ class SimplicialComplex:
     """
 
     def __init__(self, vertices, simplices):
-        from scipy import sparse
-
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or not 1 <= self.vertices.shape[1] <= 4:
             raise ValueError("vertices must be an (n, d) array with 1 <= d <= 4")
@@ -113,8 +114,10 @@ class SimplicialComplex:
         # to_json writes the volumes of a degree only where they differ from these
         self._geometric_volumes = {k: v.copy() for k, v in self.volumes.items()}
 
-        # signed incidence matrices, incidence[k]: rows (k-1)-simplices, cols k-simplices
-        self.incidence: dict[int, sparse.csc_matrix] = {}
+        # faces[k] = (rows, signs), each (k+1, n_k): the index of the face of each
+        # k-simplex opposite its vertex i, and the incidence sign (-1)^i times
+        # the face's orientation sign
+        self._faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, self.dim + 1):
             s = self.simplices.get(k, np.zeros((0, k + 1), dtype=np.int64))
             faces = np.concatenate([np.delete(s, i, axis=1) for i in range(k + 1)])
@@ -122,17 +125,31 @@ class SimplicialComplex:
             if not sign.all():
                 face = tuple(faces[np.argmax(sign == 0)].tolist())
                 raise ValueError(f"face {face} of a {k}-simplex missing from the complex")
-            self.incidence[k] = sparse.csc_matrix(
-                (np.repeat((-1) ** np.arange(k + 1), len(s)) * sign,
-                 (rows, np.tile(np.arange(len(s)), k + 1))),
-                shape=(self.n_simplices(k - 1), len(s)),
-                dtype=np.int64)
+            signs = sign.reshape(k + 1, len(s)) * (-1) ** np.arange(k + 1)[:, None]
+            self._faces[k] = rows.reshape(k + 1, len(s)), signs
 
+        # boundary-of-boundary = 0: each (k-2)-face of a k-simplex is reached
+        # twice, once for each order of dropping its two vertices, with
+        # opposite signs; so each simplex's sorted keys 2 * face + (sign > 0)
+        # come in pairs 2f, 2f + 1 (a negative sign flips the bit below)
         for k in range(2, self.dim + 1):
-            prod = self.incidence[k - 1] @ self.incidence[k]
-            prod.eliminate_zeros()
-            if prod.count_nonzero():
-                raise ValueError(f"incidence matrices violate boundary-of-boundary = 0 at degree {k}")
+            rows, signs = self._faces[k]
+            low_rows, low_signs = self._faces[k - 1]
+            key = np.sort(((2 * low_rows + (low_signs > 0))[:, rows] ^ (signs < 0))
+                          .reshape(-1, rows.shape[1]), axis=0)
+            if np.any(key[0::2] % 2) or np.any(key[1::2] != key[0::2] + 1):
+                raise ValueError(f"incidence signs violate boundary-of-boundary = 0 at degree {k}")
+
+    @cached_property
+    def incidence(self) -> dict:
+        """Signed incidence matrices, built on first access: ``incidence[k]``
+        is a sparse int64 matrix, rows (k-1)-simplices, columns k-simplices."""
+        from scipy import sparse
+
+        return {k: sparse.csc_matrix(
+            (signs.ravel(), (rows.ravel(), np.tile(np.arange(rows.shape[1]), k + 1))),
+            shape=(self.n_simplices(k - 1), rows.shape[1]), dtype=np.int64)
+            for k, (rows, signs) in self._faces.items()}
 
     def _find(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(index, sign) of the k-simplex with the vertices of each row of the
@@ -318,9 +335,12 @@ class ModPClass:
 def boundary(c: IntegerChain) -> IntegerChain:
     if c.degree < 1:
         raise ValueError("no boundary in degree 0")
-    mat = c.complex.incidence[c.degree]
-    return IntegerChain(c.complex, c.degree - 1,
-                        _exact(mat @ c.vector, mat @ c.vector.astype(float)))
+    rows, signs = c.complex._faces[c.degree]
+    rows, n = rows.ravel(), c.complex.n_simplices(c.degree - 1)
+    result = np.zeros(n, dtype=np.int64)
+    np.add.at(result, rows, (signs * c.vector).ravel())
+    estimate = np.bincount(rows, (signs * c.vector.astype(float)).ravel(), n)
+    return IntegerChain(c.complex, c.degree - 1, _exact(result, estimate))
 
 
 def mass(c: IntegerChain) -> float:

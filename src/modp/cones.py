@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .books import check_directions
 from .complexes import check_modulus, representative_modp
 
 __all__ = [
@@ -42,6 +41,8 @@ class RayConfiguration:
     p: int
 
     def __post_init__(self):
+        from .books import check_directions
+
         self.directions = np.asarray(self.directions, dtype=float)
         self.kappa = np.asarray(self.kappa, dtype=int)
         check_modulus(self.p)
@@ -201,8 +202,8 @@ class WeightedNetwork:
     arcs: list
     weight_id: str
     p: int = 0
-    # topologies whose every start failed, and starts, contraction re-solves
-    # and candidates that raised ValueError or FloatingPointError; not in to_json
+    # topologies whose every start failed, and starts and candidates that
+    # raised ValueError or FloatingPointError; not in to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
 
@@ -460,53 +461,214 @@ class _TopologyProblem:
         self.heads = np.array([edges[i][0] for i in self.live], dtype=int)
         self.tails = np.array([edges[i][1] for i in self.live], dtype=int)
         self.weights = np.array([abs(kappa[i]) for i in self.live], dtype=float)
+        # signed arc-node incidence: row e is -1 at the head, +1 at the tail
+        self.incidence = np.zeros((len(self.live), self.n_nodes))
+        self.incidence[np.arange(len(self.live)), self.heads] = -1.0
+        self.incidence[np.arange(len(self.live)), self.tails] = 1.0
+        self.pairs = [tuple(sorted((int(a), int(b)))) for a, b in zip(self.heads, self.tails)]
+        # the terminals' span sets the merge length and the difference step
+        self.span = float(np.max(np.ptp(self.terminals, axis=0))) or 1.0
 
-    def segments(self, x):
-        """Node array and the live arcs' segments, stacked (n_live, 2, 2)."""
-        nodes = np.vstack([self.terminals, x.reshape(self.n_junc, 2)])
-        return nodes, np.stack([nodes[self.heads], nodes[self.tails]], axis=1)
+    def nodes(self, x):
+        """The terminals, then the junctions at x: (n_nodes, 2)."""
+        return np.concatenate([self.terminals, x.reshape(self.n_junc, 2)])
 
     def objective_and_grad(self, x):
-        _, polys = self.segments(x)
-        seg = np.diff(polys, axis=1)
-        lens = np.maximum(np.linalg.norm(seg, axis=2), 1e-300)
-        mids = 0.5 * (polys[:, :-1] + polys[:, 1:])
-        flat = mids.reshape(-1, 2)
-        w = self.metric.w(flat).reshape(lens.shape)
-        gw = self.metric.grad_w(flat).reshape(seg.shape)
-        total = float(self.weights @ np.sum(w * lens, axis=1))
-        k = self.weights[:, None, None]
-        units = seg / lens[..., None]
-        # contribution of the segment to its two endpoints
-        half = 0.5 * gw * lens[..., None]
-        wu = w[..., None] * units
-        gpoly = np.zeros_like(polys)
-        gpoly[:, :-1] += k * (half - wu)
-        gpoly[:, 1:] += k * (half + wu)
-        grad_nodes = np.zeros((self.n_nodes, 2))
-        np.add.at(grad_nodes, self.heads, gpoly[:, 0])
-        np.add.at(grad_nodes, self.tails, gpoly[:, -1])
+        """The mass and its gradient at every node, (n_nodes, 2); an arc of
+        length 0 adds nothing to the gradient."""
+        nodes = self.nodes(x)
+        seg = self.incidence @ nodes
+        lens = np.maximum(np.hypot(seg[:, 0], seg[:, 1]), 1e-300)
+        mids = 0.5 * (nodes[self.heads] + nodes[self.tails])
+        w = self.metric.w(mids)
+        k = self.weights[:, None]
+        # each segment pulls its ends by k w u and moves with its midpoint
+        pull = k * (w / lens)[:, None] * seg
+        shift = k * 0.5 * self.metric.grad_w(mids) * lens[:, None]
+        return float(self.weights @ (w * lens)), \
+            self.incidence.T @ pull + np.abs(self.incidence).T @ shift
+
+    def _value_and_grad(self, x):
+        total, grad_nodes = self.objective_and_grad(x)
         return total, grad_nodes[self.n_term:].ravel()
 
-    def solve(self, x0):
-        from scipy.optimize import minimize
+    def hessian(self, x, grad):
+        """Hessian in the junction coordinates: k (I - u u^T) / L per arc
+        under the euclidean weight, forward differences of the exact
+        gradient ``grad`` at x under any other."""
+        size = 2 * self.n_junc
+        if not self.curved:
+            d = self.incidence @ self.nodes(x)
+            lens = np.maximum(np.hypot(d[:, 0], d[:, 1]), 1e-12 * self.span)
+            u = d / lens[:, None]
+            blocks = (self.weights / lens)[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None])
+            inc = self.incidence[:, self.n_term:]
+            return np.einsum("ea,eb,eij->aibj", inc, inc, blocks).reshape(size, size)
+        h = 1e-7 * self.span
+        H = np.empty((size, size))
+        for col in range(size):
+            xh = x.copy()
+            xh[col] += h
+            H[:, col] = (self._value_and_grad(xh)[1] - grad) / h
+        return 0.5 * (H + H.T)
 
-        if len(x0) == 0:
-            return self.objective_and_grad(x0)[0], x0
+    def solve(self, x0):
+        """(mass, junction coordinates) of a local minimum from the start x0.
+
+        A junction with fewer than three live arcs is merged into a
+        neighbour before any iteration.  Then damped Newton steps: the exact
+        gradient, the ``hessian`` with its eigenvalues replaced by their
+        absolute values (floored), Armijo backtracking, and a weight's
+        ``min_x`` held by projection.  When a live arc at a junction is
+        shorter than ``JUNCTION_MERGE_TOL`` times the terminals' span, the
+        tree with that arc merged is solved; its value is returned when
+        splitting the merged node again cannot lower the mass (``_split``),
+        and otherwise the iteration goes on from the split.  A merged node
+        is returned at its ``keep`` node's position, so its arcs have length
+        0 exactly (``_contract``)."""
+        x = np.array(x0, dtype=float)
+        if self.n_junc == 0:
+            return self.objective_and_grad(x)[0], x
+        n = self.n_term
+        degree = np.bincount(np.r_[self.heads, self.tails], minlength=self.n_nodes)
+        if np.any(degree[n:] < 3):
+            j = n + int(np.argmax(degree[n:] < 3))
+            at_j = np.flatnonzero((self.heads == j) | (self.tails == j))
+            keep = gone = None
+            if len(at_j):
+                d = self.incidence[at_j] @ self.nodes(x)
+                keep, gone = self.pairs[at_j[np.argmin(np.hypot(d[:, 0], d[:, 1]))]]
+            return self._solve_merged(x, keep, gone)
+
+        tol = JUNCTION_MERGE_TOL * self.span
         min_x = getattr(self.metric, "min_x", None)
-        bounds = None if min_x is None else [(min_x, None), (None, None)] * self.n_junc
-        res = minimize(self.objective_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
-        return float(res.fun), res.x
+        if min_x is not None:
+            x[0::2] = np.maximum(x[0::2], min_x)
+        refused = set()
+        val, grad = self._value_and_grad(x)
+        for _ in range(100):
+            short = self._short_arc(x, tol, refused)
+            if short is not None:
+                sub_val, merged = self._solve_merged(x, *self.pairs[short])
+                split = self._split(merged, short, tol)
+                if split is None:
+                    return sub_val, merged
+                refused.add(self.pairs[short])
+                x = split
+                val, grad = self._value_and_grad(x)
+                continue
+            free = np.ones(len(x), dtype=bool)
+            if min_x is not None:
+                free[0::2] = (x[0::2] > min_x) | (grad[0::2] <= 0)
+            if np.max(np.abs(grad[free]), initial=0.0) <= 1e-10:
+                break
+            lam, V = np.linalg.eigh(self.hessian(x, grad)[np.ix_(free, free)])
+            lam = np.maximum(np.abs(lam), 1e-10 * np.max(np.abs(lam)) + 1e-300)
+            step = np.zeros_like(x)
+            step[free] = -V @ ((V.T @ grad[free]) / lam)
+            t = self._first_meeting(x, step, tol, refused)
+            for _ in range(40):
+                trial = x + t * step
+                if min_x is not None:
+                    trial[0::2] = np.maximum(trial[0::2], min_x)
+                trial_val, trial_grad = self._value_and_grad(trial)
+                slope = float(grad @ (trial - x))
+                if trial_val <= val + 1e-4 * slope:
+                    break
+                # the minimum of the parabola through val, slope and trial_val,
+                # kept within [0.1, 0.5] of t
+                excess = trial_val - val - slope
+                t *= min(max(-0.5 * slope / excess, 0.1), 0.5) if excess > 0 else 0.5
+            else:
+                break  # no decrease left at round-off
+            if np.array_equal(trial, x):
+                break
+            x, val, grad = trial, trial_val, trial_grad
+        return val, x
+
+    def _short_arc(self, x, tol, refused):
+        """The shortest live arc at a junction shorter than ``tol`` whose
+        merge was not refused, or None."""
+        d = self.incidence @ self.nodes(x)
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        for i in np.argsort(lengths, kind="stable"):
+            if lengths[i] >= tol:
+                return None
+            if self.pairs[i][1] >= self.n_term and self.pairs[i] not in refused:
+                return int(i)
+        return None
+
+    def _first_meeting(self, x, step, tol, refused):
+        """The least t in (0, 1) where the ends of an arc along x + t step
+        come closest, closer than ``tol``, or 1: a step towards a collapse
+        stops at it instead of passing it (arcs whose merge was refused
+        excepted)."""
+        r0 = self.incidence @ self.nodes(x)
+        dr = self.incidence[:, self.n_term:] @ step.reshape(-1, 2)
+        dd = np.einsum("ij,ij->i", dr, dr)
+        ts = -np.einsum("ij,ij->i", r0, dr) / np.where(dd > 0, dd, 1.0)
+        closest = r0 + ts[:, None] * dr
+        meet = (ts > 0) & (ts < 1) & (np.hypot(closest[:, 0], closest[:, 1]) < tol)
+        return min((float(ts[i]) for i in np.flatnonzero(meet)
+                    if self.pairs[i] not in refused), default=1.0)
+
+    def _solve_merged(self, x, keep, gone):
+        """The tree with ``gone`` merged into ``keep`` (``_merged``), solved
+        from x: its value, and its solution in this tree's coordinates with
+        ``gone`` on ``keep``."""
+        sub, y0, juncs = _merged(self, x, keep, gone)
+        val, y = sub.solve(y0)
+        nodes = self.nodes(x)
+        nodes[juncs] = y.reshape(-1, 2)
+        if gone is not None:
+            nodes[gone] = nodes[keep]
+        return val, nodes[self.n_term:].ravel()
+
+    def _split(self, x, i, tol):
+        """Whether the merged solution x, where live arc i has length 0,
+        gains from opening arc i again: None when it does not, else x with
+        one side moved ``tol`` along the steepest descent.
+
+        The side is the node at one end of arc i with the nodes joined to it
+        by other arcs of length 0, and it moves as one; it must hold no
+        terminal, so the other end's side is tried when it does, and with a
+        terminal on both the merge stands.  Opening the arc by |d| changes
+        the mass by k w |d| + F . d to first order, F the side's summed
+        gradient, so it gains when |F| > k w."""
+        nodes = self.nodes(x)
+        _, grad = self.objective_and_grad(x)
+        zero = ~(self.incidence @ nodes).any(axis=1)
+        for end in (int(self.tails[i]), int(self.heads[i])):
+            side = {end}
+            grown = True
+            while grown:
+                grown = False
+                for k in np.flatnonzero(zero):
+                    a, b = int(self.heads[k]), int(self.tails[k])
+                    if k != i and (a in side) != (b in side):
+                        side |= {a, b}
+                        grown = True
+            if min(side) < self.n_term:
+                continue
+            side = sorted(side)
+            force = grad[side].sum(axis=0)
+            size = float(np.linalg.norm(force))
+            w = float(self.metric.w(nodes[end][None])[0])
+            if size <= self.weights[i] * w * (1 + 1e-9):
+                return None
+            nodes[side] -= tol * force / size
+            return nodes[self.n_term:].ravel()
+        return None
 
 
 def _merged(prob, x, keep=None, gone=None):
     """The tree of ``prob``'s live arcs with node ``gone`` merged into node
     ``keep`` (the arc between them dropped, junctions renumbered in order),
-    and a start vector at the current positions, the merged node at
-    ``keep``'s.  Without ``gone`` it only drops the dead arcs and the
-    junctions they leave without an arc."""
-    nodes, _ = prob.segments(x)
+    a start vector at the current positions, the merged node at ``keep``'s,
+    and the old index of each junction of the new tree.  Without ``gone``
+    it only drops the dead arcs and the junctions they leave without an
+    arc."""
+    nodes = prob.nodes(x)
     arcs = [(keep if a == gone else a, keep if b == gone else b, prob.kappa[i])
             for i in prob.live for a, b in [prob.edges[i]]]
     arcs = [arc for arc in arcs if arc[0] != arc[1]]
@@ -514,44 +676,19 @@ def _merged(prob, x, keep=None, gone=None):
     label = {v: prob.n_term + k for k, v in enumerate(juncs)}
     sub = _TopologyProblem([(label.get(a, a), label.get(b, b)) for a, b, _ in arcs],
                            [k for _, _, k in arcs], prob.terminals, prob.metric)
-    return sub, nodes[juncs].ravel()
+    return sub, nodes[juncs].ravel(), juncs
 
 
-def _contract(val, prob, x):
-    """Contraction rule for a solved tree: merge the ends of an arc at a
-    junction, shortest arc first, when the arc is shorter than
-    ``JUNCTION_MERGE_TOL`` times the terminals' span or the junction has
-    fewer than three live arcs, and re-solve the smaller tree from the
-    current positions, until no merge is left.  A merge at a junction of
-    fewer than three live arcs is always kept (such a node is a bend, which
-    lightens a straight arc under a conformal weight but not its
-    geodesic); any other when its mass is not higher beyond round-off.
-    Returns the contracted problem, its variables and the number of
-    re-solves that raised."""
-    tol = JUNCTION_MERGE_TOL * float(np.max(np.ptp(prob.terminals, axis=0)))
-    prob, x = _merged(prob, x)
-    n = prob.n_term
-    failed = 0
+def _contract(prob, x):
+    """The tree that ``prob.solve`` ended on: the dead arcs dropped and every
+    live arc of length 0 at a junction merged, with its variables."""
+    prob, x, _ = _merged(prob, x)
     while True:
-        _, polys = prob.segments(x)
-        lengths = np.linalg.norm(polys[:, 1] - polys[:, 0], axis=1)
-        degree = np.bincount(np.r_[prob.heads, prob.tails], minlength=prob.n_nodes)
-        thin = (degree < 3) & (np.arange(prob.n_nodes) >= n)
-        for i in np.argsort(lengths, kind="stable"):
-            keep, gone = sorted((int(prob.heads[i]), int(prob.tails[i])))
-            if gone < n or not (lengths[i] < tol or thin[keep] or thin[gone]):
-                continue
-            sub, x0 = _merged(prob, x, keep, gone)
-            try:
-                sub_val, sub_x = sub.solve(x0)
-            except (ValueError, FloatingPointError):
-                failed += 1
-                continue
-            if sub_val <= val * (1 + 1e-12) or thin[keep] or thin[gone]:
-                prob, x, val = sub, sub_x, sub_val
-                break
-        else:
-            return prob, x, failed
+        zero = ~(prob.incidence @ prob.nodes(x)).any(axis=1) & \
+            (np.maximum(prob.heads, prob.tails) >= prob.n_term)
+        if not zero.any():
+            return prob, x
+        prob, x, _ = _merged(prob, x, *prob.pairs[int(np.argmax(zero))])
 
 
 def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
@@ -562,13 +699,17 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     integer multiplicities; p: an integer >= 2.  Enumerates the full
     Steiner topologies (every terminal a leaf, every junction of degree 3),
     derives the forced mod-p arc multiplicities per topology, and optimizes
-    the junctions alone by L-BFGS-B from three seeded starts (one when there
-    is no junction), under every weight: each arc is one straight segment
-    weighted by the midpoint rule, and a weight's ``min_x`` bounds x.
-    Each topology's best start is a candidate; in ascending order of mass,
-    ties to the first topology, a candidate is contracted (``_contract``),
-    so every junction has at least three live arcs, and under a conformal
-    weight its arcs become two-point geodesics (``_shoot_bvp``: closed-form
+    the junctions alone by damped Newton (``_TopologyProblem.solve``) from
+    three seeded starts (one when there is no junction), under every
+    weight: each arc is one straight segment weighted by the midpoint rule,
+    and a weight's ``min_x`` bounds x.  The solve contracts as it goes: a
+    junction of fewer than three live arcs is merged before it iterates,
+    and an arc shorter than ``JUNCTION_MERGE_TOL`` times the terminals'
+    span is merged when that is a minimum, so each value is that of a
+    finished solve.  Each topology's best start is a candidate; in
+    ascending order of mass, ties to the first topology, a candidate's
+    merged arcs are contracted (``_contract``), and under a conformal weight
+    its arcs become two-point geodesics (``_shoot_bvp``: closed-form
     catenaries and parabolas under the shipped weights, RK4 shooting under
     any other) with its junctions re-balanced on the chords of the arcs'
     end steps (``_shooting_polish``).  The first candidate that raises no
@@ -627,21 +768,44 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
 
     for val, prob, x in sorted(candidates, key=lambda c: c[0]):
         try:
-            prob, x, failed_merges = _contract(val, prob, x)
-            failed += failed_merges
-            nodes, stacked = prob.segments(x)
-            polys = dict(zip(prob.live, stacked))
-            if prob.curved:
-                nodes, polys = _shooting_polish(prob, nodes, polys)
-            arcs = [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
-                               polyline_weighted_length(polys[idx], metric))
-                    for idx in prob.live]
+            net = _network(prob, x, mult, p)
         except (ValueError, FloatingPointError):
             failed += 1
             continue
-        return WeightedNetwork(nodes, mult, arcs, getattr(metric, "name", "conformal"),
-                               p, skipped, failed)
+        net.skipped_topologies, net.failed_starts = skipped, failed
+        return net
     raise RuntimeError("all topologies failed to optimize")
+
+
+def _network(prob, x, mult, p) -> WeightedNetwork:
+    """The network of a solved tree: contracted (``_contract``), and under a
+    conformal weight with geodesic arcs (``_shooting_polish``).  A junction
+    that the polish leaves unbalanced beyond ``BALANCE_TOL`` is merged along
+    its shortest arc, and the smaller tree is taken when its network is not
+    heavier: a geodesic junction can collapse onto a node where its
+    straight-segment start does not."""
+    prob, x = _contract(prob, x)
+    nodes = prob.nodes(x)
+    polys = {idx: nodes[list(prob.edges[idx])] for idx in prob.live}
+    if prob.curved:
+        nodes, polys = _shooting_polish(prob, nodes, polys)
+    metric = prob.metric
+    net = WeightedNetwork(nodes, mult,
+                          [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
+                                      polyline_weighted_length(polys[idx], metric))
+                           for idx in prob.live],
+                          getattr(metric, "name", "conformal"), p)
+    unbalanced = [j for j, r in net.balance_residuals.items()
+                  if r > BALANCE_TOL] if prob.curved else []
+    if unbalanced:
+        lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
+        i = min((i for i, pair in enumerate(prob.pairs) if unbalanced[0] in pair),
+                key=lengths.__getitem__)
+        sub, y0, _ = _merged(prob, nodes[prob.n_term:].ravel(), *prob.pairs[i])
+        merged = _network(sub, y0, mult, p)
+        if merged.mass <= net.mass:
+            return merged
+    return net
 
 
 def _shooting_polish(prob, nodes, polys):

@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .books import VarifoldSample
-from .complexes import IntegerChain, SimplicialComplex
-from .cones import RayConfiguration
-from .taylor import _resample
+from .complexes import IntegerChain, SimplicialComplex, boundary
+
+# the other modules load with the fixtures that use them
+if TYPE_CHECKING:
+    from .books import VarifoldSample
+    from .cones import RayConfiguration
 
 __all__ = [
     "y120",
@@ -36,12 +39,16 @@ __all__ = [
 
 
 def y120() -> RayConfiguration:
+    from .cones import RayConfiguration
+
     angles = [90.0, 210.0, 330.0]
     dirs = [[math.cos(math.radians(a)), math.sin(math.radians(a))] for a in angles]
     return RayConfiguration(np.array(dirs), np.array([1, 1, 1]), 3)
 
 
 def p5_balanced() -> RayConfiguration:
+    from .cones import RayConfiguration
+
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0],
                      [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
     return RayConfiguration(dirs, np.array([2, 1, 1, 1]), 5)
@@ -52,7 +59,6 @@ def triangle_complex():
     cx = SimplicialComplex(
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         {1: [(0, 1), (1, 2), (2, 0)], 2: [(0, 1, 2)]})
-    from .complexes import boundary
     tri = cx.chain(2, {0: 1})
     return cx, boundary(tri)
 
@@ -177,6 +183,8 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> Integ
     ``_TIE_BAND`` lattice units below one, so round-off at a tie cannot
     move an edge.  Returns the 1-chain of the walk (edges oriented along it).
     """
+    from .taylor import _resample
+
     poly = np.asarray(polyline, dtype=float)
     n = int(round(2.0 / spacing))
     dense = np.clip(_resample(poly, spacing / 3), -1.0, 1.0)
@@ -195,6 +203,8 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> Integ
 
 def plane_sample(delta: float, extent: float = 1.5) -> VarifoldSample:
     """Plane z = 0 through the origin in R^3, cell quadrature at density delta."""
+    from .books import VarifoldSample
+
     axis = np.arange(-extent, extent, delta) + delta / 2
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
@@ -208,6 +218,8 @@ def tilted_plane_sample(phi: float, delta: float = 0.01,
                         extent: float = 1.5) -> VarifoldSample:
     """Plane {z = (x - 1) tan(phi)} through (1,0,0); every point has
     |q_perp| = sin(phi) relative to the origin."""
+    from .books import VarifoldSample
+
     axis = np.arange(-extent, extent, delta) + delta / 2
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     x, y = gx.ravel(), gy.ravel()

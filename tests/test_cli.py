@@ -346,6 +346,26 @@ def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):
     assert run(args + ["--engine", "milp"], tmp_path).returncode == 2
 
 
+# run ``python -m modp.cli`` with the arguments after ``-c`` and write the
+# names of the modules loaded when it exits to stderr, as the last line
+_LOADED_BY_COMMAND = """
+import json, runpy, sys
+sys.argv = ["modp", *sys.argv[1:]]
+try:
+    runpy.run_module("modp.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
+"""
+
+
+def _loaded_by_command(args, cwd):
+    res = run_python(["-c", _LOADED_BY_COMMAND, *args], cwd)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stderr.splitlines()[-1]))
+
+
 def test_import_loads_no_scipy_solver(tmp_path):
     # scipy.optimize, scipy.integrate and scipy.sparse.csgraph load with the
     # first solver call that needs them, so neither import nor a non-solver
@@ -358,8 +378,15 @@ def solvers():
                   or m.startswith("scipy.sparse.csgraph"))
 import modp
 after_modp = solvers()
+submodules = sorted(m for m in sys.modules if m.startswith("modp."))
+unresolved = [name for name in modp.__all__ if getattr(modp, name, None) is None]
+star = {}
+exec("from modp import *", star)
 import modp.cli
-print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers()}))
+print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers(),
+                  "submodules": submodules, "unresolved": unresolved,
+                  "not_starred": sorted(set(modp.__all__) - set(star)),
+                  "not_in_dir": sorted(set(modp.__all__) - set(dir(modp)))}))
 """
     res = run_python(["-c", code], tmp_path)
     assert res.returncode == 0, res.stderr
@@ -367,6 +394,31 @@ print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers()}))
     assert out["file"].startswith(SRC_DIR)
     assert out["modp"] == []
     assert out["cli"] == []
+    # ``import modp`` loads no submodule, and each public name loads its own
+    assert out["submodules"] == []
+    assert out["unresolved"] == out["not_starred"] == out["not_in_dir"] == []
+
+    # each command loads only what it runs
+    for name in ("triangle-complex", "disk-mesh"):
+        loaded = _loaded_by_command(["make-fixture", name], tmp_path)
+        assert "modp.complexes" in loaded
+        assert not any(m.startswith("scipy.sparse") for m in loaded)
+    terms = [{"point": [math.cos(a), math.sin(a)], "multiplicity": 1} for a in (0.3, 2.1, 4.4)]
+    (tmp_path / "terms.json").write_text(json.dumps({"terminals": terms}))
+    loaded = _loaded_by_command(["solve-network", "--terminals", "terms.json", "--p", "3"],
+                                tmp_path)
+    assert "modp.cones" in loaded
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+    plane = {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "m": 2, "delta": 0.1}
+    (tmp_path / "plane.json").write_text(json.dumps(plane))
+    for module, args in (
+            ("modp.whitney", ["whitney", "--m", "2", "--M", "1", "--depth", "2",
+                              "--tau", "0.3", "--csv", "cubes.csv"]),
+            ("modp.books", ["density", "--sample", "plane.json", "--center", "0,0,0",
+                            "--radius", "0.5"])):
+        loaded = _loaded_by_command(args, tmp_path)
+        assert module in loaded
+        assert not {"modp.flatnorm", "modp.cones"} & loaded
 
 
 def test_whitney_excess_from_surface(tmp_path):

@@ -389,6 +389,22 @@ def test_chain_operations_match_dict_reference(data):
         assert modp.is_cycle_modp(p * A, p)
 
 
+@pytest.mark.parametrize("build", [lambda: fixtures.strip_complex(7),
+                                   lambda: fixtures.disk_mesh(0.3)[0],
+                                   lambda: fixtures.grid_square_complex(5)[0]],
+                         ids=["strip", "disk", "grid"])
+def test_boundary_from_face_rows_equals_incidence_product(build):
+    cx = build()
+    # the sparse matrices are built on first access, after the boundaries here
+    assert "incidence" not in vars(cx)
+    rng = np.random.default_rng(18)
+    chains = [(k, rng.integers(-5, 6, cx.n_simplices(k))) for k in (1, 2) for _ in range(5)]
+    got = [modp.boundary(modp.IntegerChain(cx, k, v)).vector for k, v in chains]
+    assert "incidence" not in vars(cx)
+    for (k, v), b in zip(chains, got):
+        np.testing.assert_array_equal(b, cx.incidence[k] @ v)
+
+
 def test_chain_overflow_raises():
     cx, _ = fixtures.triangle_complex()
     big = modp.IntegerChain(cx, 1, {0: 2 ** 63 - 1, 1: -2 ** 63})

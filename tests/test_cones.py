@@ -150,7 +150,7 @@ def test_solve_network_equilateral():
 
 
 def test_solve_network_matches_fermat_point_on_random_triangles():
-    # guards the L-BFGS-only junction optimization (no Newton polish)
+    # guards the Newton junction start on the euclidean weight (no geodesic polish)
     rng = np.random.default_rng(20)
     for _ in range(20):
         th = np.sort(rng.uniform(0, 2 * math.pi, 3))
@@ -359,6 +359,48 @@ def test_junction_only_start_loses_no_mass_on_curved_networks():
         assert net.mass <= old * (1 + 1e-7)
         live = [v for arc in net.arcs if arc.kappa for v in (arc.a, arc.b)]
         assert all(live.count(j) >= 3 for j in net.junctions)
+        assert max(net.balance_residuals.values(), default=0) < 1e-6
+
+
+def _euclidean_instances():
+    """Seeded euclidean networks: n = 3..6 terminals in the unit disk with
+    signed multiplicities 1..p-1 summing to 0 mod p, two per (n, p) for p in
+    {2, 3, 5} (2 only for even n), then four balanced stars, whose full
+    topologies all collapse into one junction."""
+    rng = np.random.default_rng(18)
+    out = []
+    for n in range(3, 7):
+        for p in (2, 3, 5):
+            if p == 2 and n % 2:
+                continue
+            for _ in range(2):
+                while True:
+                    mult = rng.integers(1, p, n) * rng.choice((-1, 1), n)
+                    if mult.sum() % p == 0:
+                        break
+                r, a = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * math.pi, n)
+                out.append((p, [((float(x), float(y)), int(m))
+                                for x, y, m in zip(r * np.cos(a), r * np.sin(a), mult)]))
+    for p, kappa in ((3, (1, 1, 1)), (5, (2, 2, 1)), (5, (2, 1, 1, 1)), (5, (1, 1, 1, 1, 1))):
+        cfg = _balanced_star(kappa, p, np.random.default_rng([p, *kappa]))
+        out.append((p, [(tuple(map(float, v)), int(k)) for v, k in zip(cfg.directions, cfg.kappa)]))
+    return out
+
+
+# the masses of _euclidean_instances from the solver that optimized the
+# junctions by scipy's L-BFGS-B and contracted the best candidate afterwards
+LBFGS_MASSES = [
+    1.6798075135587323, 1.4622234670152825, 1.4941463235075116, 1.323973043519544,
+    1.842649061997358, 0.9685844992120763, 1.493160249087543, 1.4020260357442984,
+    1.9753966314717102, 1.73672586847458, 1.7365928776813873, 1.6705327338138962,
+    3.672235908392163, 3.018606844049965, 1.1567950882770865, 2.1401936767344676,
+    1.708100781238779, 0.9811611857786064, 3.426656773353726, 1.6360742781687858, 3.0, 5.0,
+    5.000000000000001, 5.0]
+
+
+def test_newton_start_keeps_the_euclidean_masses():
+    for (p, terms), old in zip(_euclidean_instances(), LBFGS_MASSES, strict=True):
+        assert modp.solve_network(terms, p).mass == pytest.approx(old, rel=1e-12, abs=0)
 
 
 # every multiplicity pattern that passes check_structure for p = 3..7 with
@@ -398,6 +440,19 @@ def test_solve_network_contracts_collapsed_junctions():
             assert all(len(net.junction_tangents(j)) >= 3 for j in net.junctions)
             assert all(a.length > 0 for a in net.arcs)
             assert net.mass == sum(abs(a.kappa) * a.length for a in net.arcs)
+
+
+def test_topology_solve_opens_a_merge_that_is_no_minimum():
+    # from the centre start the two junctions of the H coincide: merged, they
+    # give the X of mass 4 sqrt(5), and the solve must open them again
+    terms = np.array([(-2.0, 1.0), (-2.0, -1.0), (2.0, 1.0), (2.0, -1.0)])
+    edges = [(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)]
+    kappa = modp.tree_multiplicities(edges, 6, [1, 1, -1, -1], 3)
+    prob = cones._TopologyProblem(edges, kappa, terms, cones.EuclideanWeight())
+    val, x = prob.solve(np.zeros(4))
+    assert val == pytest.approx(4 + 2 * math.sqrt(3), rel=1e-12)
+    np.testing.assert_allclose(x, [-2 + 1 / math.sqrt(3), 0, 2 - 1 / math.sqrt(3), 0],
+                               atol=1e-9)
 
 
 def test_collinear_terminals_have_no_junction():

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation error, 3 solver failure.  Every run
 emits a ``meta`` block recording the defaulted conventions so outputs are
-self-describing; all numeric output is deterministic for a fixed seed.
+self-describing; all numeric output is deterministic, and ``--seed`` is
+only recorded in ``meta``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def cmd_solve_network(args) -> int:
         from .taylor import WeightedMetric
 
         weight = WeightedMetric(args.weight)
-    net = solve_network(terms, args.p, weight=weight, seed=args.seed)
+    net = solve_network(terms, args.p, weight=weight)
     payload = net.to_json()
     payload["meta"] = _meta(args, weight=args.weight,
                             junction_merge_tolerance=JUNCTION_MERGE_TOL)
@@ -119,8 +120,7 @@ def cmd_taylor(args) -> int:
 
     angles = _parse_floats(args.angles)
     R = build_taylor_example(args.p, angles, radius=args.radius,
-                             weight=args.weight, delta=args.delta,
-                             seed=args.seed)
+                             weight=args.weight, delta=args.delta)
     payload = R.to_json()
     payload["meta"] = _meta(args, weight_convention=args.weight,
                             delta=args.delta)
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded as meta.seed; no command draws a random number")
         return p
 
     p = add("flat-norm", cmd_flat_norm)

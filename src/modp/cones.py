@@ -202,8 +202,9 @@ class WeightedNetwork:
     arcs: list
     weight_id: str
     p: int = 0
-    # topologies whose every start failed, and starts and candidates that
-    # raised ValueError or FloatingPointError; not in to_json
+    # topologies whose solve (their one start) raised ValueError or
+    # FloatingPointError, and those solves and the candidates that raised;
+    # not in to_json
     skipped_topologies: int = 0
     failed_starts: int = 0
 
@@ -691,7 +692,7 @@ def _contract(prob, x):
         prob, x, _ = _merged(prob, x, *prob.pairs[int(np.argmax(zero))])
 
 
-def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
+def solve_network(terminals, p: int, weight="euclidean",
                   k_interior=None) -> WeightedNetwork:
     """Minimal-mass branched 1-current mod p spanning the given terminals.
 
@@ -699,22 +700,24 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
     integer multiplicities; p: an integer >= 2.  Enumerates the full
     Steiner topologies (every terminal a leaf, every junction of degree 3),
     derives the forced mod-p arc multiplicities per topology, and optimizes
-    the junctions alone by damped Newton (``_TopologyProblem.solve``) from
-    three seeded starts (one when there is no junction), under every
-    weight: each arc is one straight segment weighted by the midpoint rule,
-    and a weight's ``min_x`` bounds x.  The solve contracts as it goes: a
-    junction of fewer than three live arcs is merged before it iterates,
-    and an arc shorter than ``JUNCTION_MERGE_TOL`` times the terminals'
-    span is merged when that is a minimum, so each value is that of a
-    finished solve.  Each topology's best start is a candidate; in
-    ascending order of mass, ties to the first topology, a candidate's
-    merged arcs are contracted (``_contract``), and under a conformal weight
-    its arcs become two-point geodesics (``_shoot_bvp``: closed-form
-    catenaries and parabolas under the shipped weights, RK4 shooting under
-    any other) with its junctions re-balanced on the chords of the arcs'
-    end steps (``_shooting_polish``).  The first candidate that raises no
-    ValueError or FloatingPointError is returned; each one that does counts
-    in ``failed_starts``, and with none left RuntimeError is raised.
+    the junctions alone by damped Newton (``_TopologyProblem.solve``), once
+    per topology from every junction at the terminals' centroid, under
+    every weight: each arc is one straight segment weighted by the midpoint
+    rule, and a weight's ``min_x`` bounds x.  The solve contracts as it
+    goes: a junction of fewer than three live arcs is merged before it
+    iterates, and an arc shorter than ``JUNCTION_MERGE_TOL`` times the
+    terminals' span is merged when that is a minimum, so each value is that
+    of a finished solve.  Each topology's solve is a candidate; a topology
+    whose solve raises ValueError or FloatingPointError is skipped and
+    counts in ``skipped_topologies`` and in ``failed_starts``.  In ascending
+    order of mass, ties to the first topology, a candidate's merged arcs
+    are contracted (``_contract``), and under a conformal weight its arcs
+    become two-point geodesics (``_shoot_bvp``: closed-form catenaries and
+    parabolas under the shipped weights, RK4 shooting under any other) with
+    its junctions re-balanced on the chords of the arcs' end steps
+    (``_shooting_polish``).  The first candidate that raises no ValueError
+    or FloatingPointError is returned; each one that does counts in
+    ``failed_starts``, and with none left RuntimeError is raised.
     ``k_interior`` is deprecated and ignored: any value but None warns.
     """
     if k_interior is not None:
@@ -737,7 +740,6 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
         raise ValueError("terminal multiplicities do not sum to 0 mod p")
     metric = _resolve_weight(weight)
 
-    rng = np.random.default_rng(seed)
     n = len(pts)
     njunc = n - 2
     centre = np.tile(pts.mean(axis=0), njunc)
@@ -747,24 +749,13 @@ def solve_network(terminals, p: int, weight="euclidean", seed: int = 0,
         # every topology is a tree, so the sum check above balances it
         kappa = tree_multiplicities(edges, n + njunc, mult, p)
         prob = _TopologyProblem(list(edges), kappa, pts, metric)
-        inits = [centre] + [centre + rng.normal(scale=0.05 * (1 + pts.std()), size=2 * njunc)
-                            for _ in range(2 if njunc else 0)]
-        local_best = None
-        for init in inits:
-            if getattr(metric, "min_x", None) is not None:
-                init = init.copy()
-                init[0::2] = np.maximum(init[0::2], 2 * metric.min_x)
-            try:
-                val, x = prob.solve(init)
-            except (ValueError, FloatingPointError):
-                failed += 1
-                continue
-            if local_best is None or val < local_best[0] - 1e-15:
-                local_best = (val, x)
-        if local_best is None:
+        try:
+            val, x = prob.solve(centre)
+        except (ValueError, FloatingPointError):
             skipped += 1
-        else:
-            candidates.append((local_best[0], prob, local_best[1]))
+            failed += 1
+            continue
+        candidates.append((val, prob, x))
 
     for val, prob, x in sorted(candidates, key=lambda c: c[0]):
         try:

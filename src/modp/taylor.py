@@ -340,12 +340,13 @@ def _revolve_sample(net: WeightedNetwork, delta: float) -> VarifoldSample:
 
 
 def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
-                         weight: str = "x", delta: float = 0.02,
-                         seed: int = 0) -> RevolvedCurrent:
+                         weight: str = "x", delta: float = 0.02) -> RevolvedCurrent:
     """Rotationally symmetric example: solve the weighted network for p unit
     terminals on the arc of the given radius, then revolve about the y-axis.
 
     Angles are degrees measured from the positive x-axis of the half-plane.
+    The network is solved once per topology from a fixed start
+    (``solve_network``), so the example depends on its arguments alone.
     A junction whose arc tangents do not balance to ``cones.BALANCE_TOL``
     is not a singular circle and raises ``RuntimeError``.
     """
@@ -359,7 +360,7 @@ def build_taylor_example(p: int, terminal_angles, radius: float = 1.0,
     if np.any(term_pts[:, 0] <= 1e-3 * radius):
         raise ValueError("terminals must stay away from the rotation axis")
     metric = WeightedMetric(weight)
-    net = solve_network([(pt, 1) for pt in term_pts], p, weight=metric, seed=seed)
+    net = solve_network([(pt, 1) for pt in term_pts], p, weight=metric)
     return RevolvedCurrent(net, _revolve_sample(net, delta), _singular_circles(net),
                            metric, radius, p, delta)
 

@@ -127,6 +127,24 @@ def test_solve_network_json(tmp_path):
     assert json.loads(json.dumps(out)) == out
 
 
+def test_solve_network_seed_is_only_recorded(tmp_path):
+    # the solver draws no random number: --seed changes meta.seed alone, and
+    # no in-repo call of a deprecated keyword warns on the way
+    spec = {"terminals": [{"point": [math.cos(math.radians(a)), math.sin(math.radians(a))],
+                           "multiplicity": 1} for a in (-40.0, 0.0, 40.0)]}
+    (tmp_path / "terms.json").write_text(json.dumps(spec))
+    outs = []
+    for seed in ("0", "5"):
+        res = run_python(["-W", "error::DeprecationWarning", "-m", "modp.cli", "solve-network",
+                          "--terminals", "terms.json", "--p", "3", "--weight", "x",
+                          "--seed", seed], tmp_path)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["meta"].pop("seed") == int(seed)
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_solve_network_rejects_unknown_weight(tmp_path):
     spec = {"terminals": [{"point": [0.0, 1.0], "multiplicity": 1},
                           {"point": [0.0, -1.0], "multiplicity": 1}]}

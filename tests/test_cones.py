@@ -208,18 +208,13 @@ def test_solve_network_reports_skipped_topologies_and_failed_starts():
     # weight raises, and there is no other topology to fall back on
     with pytest.raises(RuntimeError, match="all topologies failed"):
         modp.solve_network(EQUILATERAL, 3, weight=_UndefinedNearOrigin())
-    # the first start fails; the two jittered ones still find the Y
-    net = modp.solve_network(EQUILATERAL, 3, weight=_FlakyEuclidean(1))
-    assert (net.skipped_topologies, net.failed_starts) == (0, 1)
-    assert net.mass == pytest.approx(3.0, abs=1e-9)
-    assert len(net.junctions) == 1
     # sources on the left, sinks on the right: the first topology in sorted
-    # order pairs the sources (the optimal H, mass 4 + 2 sqrt(3)) and loses
-    # all three starts; the others carry two horizontal segments
+    # order pairs the sources (the optimal H, mass 4 + 2 sqrt(3)) and its one
+    # solve fails; the others carry two horizontal segments
     terms = [((-2.0, 1.0), 1), ((-2.0, -1.0), 1), ((2.0, 1.0), -1), ((2.0, -1.0), -1)]
     assert modp.solve_network(terms, 3).mass == pytest.approx(4 + 2 * math.sqrt(3), abs=1e-9)
-    net = modp.solve_network(terms, 3, weight=_FlakyEuclidean(3))
-    assert (net.skipped_topologies, net.failed_starts) == (1, 3)
+    net = modp.solve_network(terms, 3, weight=_FlakyEuclidean(1))
+    assert (net.skipped_topologies, net.failed_starts) == (1, 1)
     assert net.mass == pytest.approx(8.0, abs=1e-9)
     assert net.junctions == []
 
@@ -350,17 +345,43 @@ POLYLINE_START_MASSES = [
     2.017260057617133, 0.9107401553878209, 1.3351660500461646, 1.1967148385904074]
 
 
+# the masses of _curved_instances from the solver that started each topology
+# three times, from the centroid and from two seeded jitters of it
+THREE_START_MASSES = [
+    1.2310704517584998, 0.22625339195912814, 0.9539720261455156, 0.8149488495738875,
+    1.4059640197530046, 1.8353214112667966, 1.849285492546418, 0.710671863495729,
+    2.1348037996385454, 1.2487752320013064, 0.8201787059074547, 0.5599529168172324,
+    0.824404489388656, 0.8980934316989728, 0.980198207201096, 0.9562545523927904,
+    1.5175947311097318, 1.8779752345126166, 1.8489782579037097, 1.5934791074002863,
+    2.0172600553632423, 0.9107401588160424, 1.335145517273386, 1.1966681992688895]
+
+
 def test_junction_only_start_loses_no_mass_on_curved_networks():
-    for (weight, p, terms), old in zip(_curved_instances(), POLYLINE_START_MASSES, strict=True):
+    for (weight, p, terms), old, last in zip(_curved_instances(), POLYLINE_START_MASSES,
+                                             THREE_START_MASSES, strict=True):
         net = modp.solve_network(terms, p, weight=modp.WeightedMetric(weight))
         # the mass sums 512 midpoint steps per arc; against 20000 steps of the
         # same arcs it reads 2e-9 to 8e-8 high, by network, so a smaller excess
         # is quadrature and not a lost minimum
         assert net.mass <= old * (1 + 1e-7)
+        assert net.mass == pytest.approx(last, rel=1e-12, abs=0)
         live = [v for arc in net.arcs if arc.kappa for v in (arc.a, arc.b)]
         assert all(live.count(j) >= 3 for j in net.junctions)
         assert max(net.balance_residuals.values(), default=0) < 1e-6
 
+
+
+@pytest.mark.xfail(strict=True, reason="the solver knows no arc that ends on the "
+                   "rotation axis, where w = x costs nothing: it returns an "
+                   "interior junction at (0.596, 0.134) with residual 5.5e-3 and "
+                   "mass 1.10515, where three flat disks cost sum x^2 / 2 = 0.91223")
+def test_curved_network_balances_or_ends_on_the_axis():
+    terms = [((0.9324215843194972, 0.09673751500737926), 1),
+             ((0.6998797365053646, 0.7474921500286722), 1),
+             ((0.6820698159120229, -0.6375722741216245), 1)]
+    net = modp.solve_network(terms, 3, weight=modp.WeightedMetric("x"))
+    assert max(net.balance_residuals.values(), default=0) <= cones.BALANCE_TOL
+    assert net.mass <= 0.912231
 
 def _euclidean_instances():
     """Seeded euclidean networks: n = 3..6 terminals in the unit disk with

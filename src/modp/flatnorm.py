@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,7 @@ class FlatDecomposition:
     region: Region
     nodes: int = 0
     optimality_gap: float = 0.0
+    columns: int = 0  # z columns of the last program HiGHS solved
 
 
 @dataclass
@@ -131,7 +133,8 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     eliminated.  The mixed-integer program is solved by HiGHS with a zero
     relative gap.  If the time limit stops it with an incumbent, that
     incumbent is returned with the unclosed gap in ``optimality_gap``; with
-    no incumbent a ``RuntimeError`` is raised.
+    no incumbent a ``RuntimeError`` is raised.  A chain that vanishes mod p
+    on W has value 0 with Z = 0 and P = T / p on W, and no program.
 
     The variables are boxed without losing an optimum.  With P free, the
     cost of a k-simplex e is vol_e * |t_e - (boundary Z)_e|_p, the distance
@@ -140,7 +143,22 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     not raise |z_f|.  So some optimum has |z_f| <= floor(p/2), and for it
     the nearest P_e = round((t_e - (boundary Z)_e) / p) satisfies
     |P_e| <= ceil((|t_e| + c_e * floor(p/2)) / p), where c_e is the number
-    of cofaces of e (outside W any P_e costs nothing, so the same one does).
+    of cofaces of e (outside W any P_e costs nothing; P_e = 0 there).
+
+    The program is localized to the chain (``_reach``).  Join two
+    (k+1)-simplices when they share a k-face in W, and call a k-face of W
+    where T is nonzero mod p a seed.  Setting Z to 0 on a component of
+    supp Z that holds no coface of a seed raises no cost, and along a path
+    in supp Z the simplices of W have volume at most the value.  So for any
+    value V of a witness, an optimum lies on the simplices that a search
+    from the seeds' cofaces reaches through at most floor(V / vmin) + 1
+    simplices of W, vmin the least volume in W_{k+1}.  When the cofaces
+    and their one-step reach are at most half of the columns, that program
+    is solved first, and then the one its value allows, unless that lies
+    inside the first or is over half of the columns (then all are used).
+    Both solves share ``time_limit``.  The gap reported is that of the last
+    solve, which holds an optimum; if that solve finds no incumbent, the
+    first witness is returned with an infinite gap.
     """
     from scipy import sparse
 
@@ -150,45 +168,123 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     has_z = k + 1 <= cx.dim
     nz = cx.n_simplices(k + 1) if has_z else 0
     npi = cx.n_simplices(k)
-
+    t = T.vector
     wr = _region_indices(W, cx, k)
-    wz = _region_indices(W, cx, k + 1) if has_z else np.array([], dtype=int)
-    if (len(wr) == 0 and len(wz) == 0) or T.is_zero():
-        zero_z = cx.chain(k + 1) if has_z else None
-        return FlatDecomposition(T, zero_z, cx.chain(k), 0.0, W, nodes=0)
+    P = np.zeros(npi, dtype=np.int64)
+    seed = t[wr] % p != 0
+    if not seed.any():
+        P[wr] = t[wr] // p
+        pic = IntegerChain(cx, k, P)
+        return FlatDecomposition(T - p * pic, cx.chain(k + 1) if has_z else None, pic, 0.0, W)
+    P[wr] = np.round(t[wr] / p)  # kept by each face that the program leaves out
 
-    t_dense = T.vector.astype(float)
+    deadline = time.monotonic() + time_limit
+    t_dense = t.astype(float)
     B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
          else sparse.csr_matrix((npi, 0)))
     half = p // 2
     bpi = np.ceil((np.abs(t_dense) + np.diff(B.indptr) * half) / p)
     vol_z = cx.volumes[k + 1] if has_z else np.zeros(0)
+    in_wz = np.zeros(nz, dtype=bool)
+    if has_z:
+        in_wz[_region_indices(W, cx, k + 1)] = True
+    # the join graph: simplices of degree k + 1 against their faces in W
+    join = abs(B[wr])
+    columns = np.flatnonzero((join.getnnz(axis=0) > 0) | in_wz)
+    vmin = vol_z[in_wz].min() if in_wz.any() else math.inf
 
-    # variables: z (nz), pi (npi), a_z (len(wz)), a_r (len(wr)); constraints
-    # in +/- pairs: |z| <= a_z on wz, then |T - Bz - p*pi| <= a_r on wr
-    nint = nz + npi
-    c_obj = np.concatenate([np.zeros(nint), vol_z[wz], cx.volumes[k][wr]])
+    def solve(cols, limit):
+        """The decomposition that solves the boxed program with z on
+        ``cols`` and 0 elsewhere."""
+        mask = np.zeros(nz)
+        mask[cols] = 1.0
+        rows = wr[join @ mask > 0]
+        z = np.zeros(nz, dtype=np.int64)
+        pi = P.copy()
+        nodes, gap = 0, 0.0
+        if len(cols):
+            x, nodes, gap = _flat_program(B[rows][:, cols], t_dense[rows], bpi[rows],
+                                          vol_z[cols], in_wz[cols], cx.volumes[k][rows],
+                                          p, limit)
+            z[cols] = x[:len(cols)]
+            pi[rows] = x[len(cols):]
+        zc = IntegerChain(cx, k + 1, z) if has_z else None
+        pic = IntegerChain(cx, k, pi)
+        val, R = _exact_value(T, zc, pic, p, W)
+        return FlatDecomposition(R, zc, pic, val, W, nodes=nodes, optimality_gap=gap,
+                                 columns=len(cols))
+
+    start = np.zeros(nz, dtype=bool)
+    start[join[seed].indices] = True  # the seeds' cofaces
+    near = _reach(join, start, in_wz, 2)  # the cofaces and one step out
+    if not 0 < vmin or 2 * near.sum() > len(columns):
+        return solve(columns, time_limit)
+    first = solve(np.flatnonzero(near), time_limit)
+    allowed = _reach(join, start, in_wz, int(min(first.value / vmin, nz)) + 1)
+    if not (allowed & ~near).any():
+        return first
+    cols = np.flatnonzero(allowed) if 2 * allowed.sum() <= len(columns) else columns
+    try:
+        last = solve(cols, max(deadline - time.monotonic(), 0.0))
+    except RuntimeError:  # no incumbent in the time left: the first, unproven
+        first.optimality_gap = math.inf
+        return first
+    last.nodes += first.nodes
+    return last
+
+
+def _reach(join, start, costly, budget: int) -> np.ndarray:
+    """The columns of ``join`` that a search from ``start`` reaches while
+    passing at most ``budget`` columns marked ``costly``; two columns are
+    joined when they share a row.  A boolean mask, by sparse mat-vecs."""
+    joint = join.T.tocsr()
+
+    def joined(mask):
+        return joint @ (join @ mask.astype(float)) > 0
+
+    def close(mask):  # add what free columns join to the mask
+        front = mask
+        while front.any():
+            front = joined(front) & ~costly & ~mask
+            mask = mask | front
+        return mask
+
+    seen = close(start & ~costly)
+    for _ in range(budget):
+        new = costly & ~seen & (start | joined(seen))
+        if not new.any():
+            break
+        seen = close(seen | new)
+    return seen
+
+
+def _flat_program(B, t, bpi, vol_z, in_wz, vol_r, p, time_limit):
+    """The boxed flat-norm program on the columns of B (z) and its rows
+    (pi): its integer solution (z, pi), nodes and gap."""
+    from scipy import sparse
+
+    nz, nr = B.shape[1], B.shape[0]
+    wz = np.flatnonzero(in_wz)
+    half = p // 2
+    # variables: z (nz), pi (nr), a_z (len(wz)), a_r (nr); constraints in
+    # +/- pairs: |z| <= a_z on wz, then |t - Bz - p*pi| <= a_r
+    nint = nz + nr
+    c_obj = np.concatenate([np.zeros(nint), vol_z[wz], vol_r])
     pm = sparse.csr_matrix([[1.0], [-1.0]])
     both = sparse.csr_matrix([[1.0], [1.0]])
-    eye_r = sparse.eye(npi, format="csr")[wr]
     A_ub = sparse.bmat([
         [sparse.kron(sparse.eye(nz, format="csr")[wz], pm), None,
          sparse.kron(-sparse.eye(len(wz)), both), None],
-        [sparse.kron(-B[wr], pm), sparse.kron(-p * eye_r, pm),
-         None, sparse.kron(-sparse.eye(len(wr)), both)],
+        [sparse.kron(-B, pm), sparse.kron(-p * sparse.eye(nr, format="csr"), pm),
+         None, sparse.kron(-sparse.eye(nr), both)],
     ], format="csr")
-    b_ub = np.concatenate([np.zeros(2 * len(wz)), np.kron(-t_dense[wr], [1.0, -1.0])])
-
-    n_aux = len(wz) + len(wr)
+    b_ub = np.concatenate([np.zeros(2 * len(wz)), np.kron(-t, [1.0, -1.0])])
+    n_aux = len(wz) + nr
     lb = np.concatenate([np.full(nz, -half), -bpi, np.zeros(n_aux)])
     ub = np.concatenate([np.full(nz, half), bpi, np.full(n_aux, np.inf)])
     integrality = np.concatenate([np.ones(nint), np.zeros(n_aux)])
     x, nodes, gap = _solve_milp(c_obj, A_ub, -np.inf, b_ub, lb, ub, integrality, time_limit)
-    x = x[:nint].astype(np.int64)
-    zc = IntegerChain(cx, k + 1, x[:nz]) if has_z else None
-    pic = IntegerChain(cx, k, x[nz:])
-    val, R = _exact_value(T, zc, pic, p, W)
-    return FlatDecomposition(R, zc, pic, val, W, nodes=nodes, optimality_gap=gap)
+    return x[:nint].astype(np.int64), nodes, gap
 
 
 def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None) -> float:

@@ -83,8 +83,6 @@ class WeightedMetric:
         it takes a given rise at most twice; of those arcs the one of least
         weighted length is returned.  c = 0 is the horizontal segment.
         """
-        from scipy.optimize import brentq
-
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if min(a[0], b[0]) < self.min_x or np.array_equal(a, b):
@@ -133,9 +131,9 @@ class WeightedMetric:
                 return rise(s) - target
 
             roots = [peak] if excess(peak) == 0 else \
-                [brentq(excess, -left, peak, xtol=1e-15)]
+                [_brentq(excess, -left, peak)]
             if excess(right) < 0 < excess(peak):
-                roots.append(brentq(excess, peak, right, xtol=1e-15))
+                roots.append(_brentq(excess, peak, right))
             s = min(roots, key=weighted_length)
             r, v0, v1 = ends(s)
             if cat:
@@ -185,6 +183,50 @@ def _invert_vertex_integral(target, r):
         if np.all(np.abs(step) <= 4e-16 * np.maximum(v, r)):
             break
     return np.copysign(v, target)
+
+
+def _brentq(f, xpre, xcur):
+    """A root of f between xpre and xcur, where f changes sign, by Brent's
+    method: the iteration of ``scipy.optimize.brentq`` with xtol=1e-15 and
+    its default rtol and maxiter, operation for operation, so the root is
+    the same float."""
+    xtol, rtol, maxiter = 1e-15, 4 * np.finfo(float).eps, 100
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f must have different signs at the ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 def _golden_reach(f, lo, hi, level):

@@ -427,6 +427,17 @@ print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers(),
                                 tmp_path)
     assert "modp.cones" in loaded
     assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+    # a curved network finds its arcs' roots without scipy.optimize
+    loaded = _loaded_by_command(["solve-network", "--terminals", "terms.json", "--p", "3",
+                                 "--weight", "x"], tmp_path)
+    assert "modp.taylor" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    # the flat norm's neighbourhood search needs no graph library
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    loaded = _loaded_by_command(["flat-norm", "--complex", "triangle-complex.json",
+                                 "--chain", "triangle-boundary.json", "--p", "3"], tmp_path)
+    assert "scipy.optimize" in loaded
+    assert not any(m.startswith("scipy.sparse.csgraph") for m in loaded)
     plane = {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "m": 2, "delta": 0.1}
     (tmp_path / "plane.json").write_text(json.dumps(plane))
     for module, args in (

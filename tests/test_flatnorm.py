@@ -233,3 +233,96 @@ def test_time_limited_flat_norm_never_claims_an_unproven_value():
         return
     # an incumbent cut off by the time limit carries its open gap
     assert dec.optimality_gap > 1e-9 or dec.value == pytest.approx(exact.value, abs=1e-9)
+
+
+def test_chain_that_vanishes_mod_p_needs_no_program(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("HiGHS was called")
+
+    monkeypatch.setattr(flatnorm, "_solve_milp", no_solve)
+    cx = fixtures.strip_complex(4)
+    q = random_chain(np.random.default_rng(5), cx, 1, lo=-2, hi=2)
+    for p in (2, 3, 5):
+        dec = modp.flat_norm_modp(p * q, p)
+        assert dec.value == 0.0 and dec.nodes == dec.columns == 0
+        assert dec.Z.is_zero() and dec.P == q and dec.R.is_zero()
+    # vanishing mod p on the region is enough; off it P is 0
+    W = {1: {0, 1, 2}, 2: {0}}
+    t = 3 * q + modp.IntegerChain(cx, 1, {5: 1, 8: 2})
+    dec = modp.flat_norm_modp(t, 3, W)
+    assert dec.value == 0.0 and dec.Z.is_zero()
+    assert dec.R + 3 * dec.P == t
+    assert set(dec.P.coeffs) <= W[1]
+
+
+def _ball(cx, radius):
+    inside = np.linalg.norm(cx.vertices, axis=1) <= radius
+    return {k: set(np.flatnonzero(inside[cx.simplices[k]].all(axis=1)).tolist())
+            for k in (1, 2)}
+
+
+def test_localized_program_keeps_the_value_of_the_full_program(monkeypatch):
+    # sparse chains, as the decay ladder makes them: the difference of a
+    # rasterized segment across a ball and a bent one with the same ends, on
+    # a grid; each is solved on the neighbourhood of the chain and again
+    # with the neighbourhood forced to every column
+    cx, spacing = fixtures.grid_square_complex(16)
+    cofaces = np.diff(cx.incidence[2].tocsr().indptr)
+    rng = np.random.default_rng(2020)
+    cases = []
+    for i in range(40):
+        p = (2, 3, 5)[i % 3]
+        t = cx.chain(1)
+        for _ in range(int(rng.integers(1, 3))):
+            a, b = rng.uniform(-1, 1, (2, 2)) * rng.uniform(0.5, 1, (2, 1))
+            b = -np.sign(a) * np.abs(b)  # the far quadrant: the segment crosses the ball
+            bent = np.array([a, (a + b) / 2 + rng.uniform(-0.1, 0.1, 2), b])
+            t = t + int(rng.integers(1, p)) * (
+                fixtures.rasterize_polyline(cx, spacing, np.array([a, b]))
+                - fixtures.rasterize_polyline(cx, spacing, bent))
+        cases.append((t, p, _ball(cx, rng.uniform(0.3, 0.9))))
+    local = [modp.flat_norm_modp(t, p, W) for t, p, W in cases]
+    monkeypatch.setattr(flatnorm, "_reach",
+                        lambda join, start, costly, budget: np.ones(join.shape[1], bool))
+    fulls = [modp.flat_norm_modp(t, p, W) for t, p, W in cases]
+    for (t, p, W), dec, full in zip(cases, local, fulls, strict=True):
+        assert dec.value == pytest.approx(full.value, abs=1e-9)
+        assert dec.optimality_gap < 1e-6 and full.optimality_gap < 1e-6
+        assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
+        assert np.abs(dec.Z.to_dense()).max() <= p // 2
+        box = np.ceil((np.abs(t.to_dense()) + cofaces * (p // 2)) / p)
+        assert np.all(np.abs(dec.P.to_dense()) <= box)
+        assert dec.columns <= full.columns
+    assert sum(dec.value > 0 for dec in local) >= 30
+    # a quarter end on fewer columns than the region offers; the rest are 0,
+    # or have values that allow over half of them
+    assert sum(0 < d.columns < f.columns for d, f in zip(local, fulls)) >= 9
+
+
+def test_second_program_reaches_the_middle_of_a_wide_filling():
+    # the optimal Z fills a square loop 3 cells wide; its middle lies beyond
+    # the loop's cofaces and their neighbours, where the first program ends
+    # (value 1.5), so only the second program, which the first value
+    # allows, finds the filling
+    cx, spacing = fixtures.grid_square_complex(8)
+    corners = 1.5 * spacing * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1]])
+    t = fixtures.rasterize_polyline(cx, spacing, corners)
+    dec = modp.flat_norm_modp(t, 3)
+    assert dec.value == pytest.approx(9 * spacing ** 2, abs=1e-12)
+    assert dec.R.is_zero() and modp.boundary(dec.Z) + 3 * dec.P == t
+
+
+def test_localized_program_matches_brute_oracle_with_regions():
+    # on the strip the neighbourhood of a chain in a region, and one that
+    # no coface of W costs anything to cross (an empty W_{k+1})
+    cx = fixtures.strip_complex(4)
+    rng = np.random.default_rng(77)
+    regions = [{1: {0, 1, 2, 3, 4, 5}, 2: {0, 1}}, {1: {2, 3, 4, 5, 6}, 2: {1, 2, 3}},
+               {1: set(range(9)), 2: set()}, {1: {0, 3, 4, 6, 7}, 2: set()}]
+    for i in range(24):
+        p = (2, 3, 5)[i % 3]
+        W = regions[i % 4]
+        t = random_chain(rng, cx, 1, lo=-2, hi=2, density=0.4)
+        dec = modp.flat_norm_modp(t, p, W)
+        assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3, W), abs=1e-8)
+        assert dec.R + modp.boundary(dec.Z) + p * dec.P == t

@@ -379,3 +379,34 @@ def test_decay_scan_raises_what_a_rung_raises(taylor_p3, monkeypatch):
 def test_decay_scan_rejects_far_point(taylor_p3):
     with pytest.raises(ValueError, match="circle"):
         modp.decay_scan(taylor_p3, (0.1, 0.0, 0.9), [0.2], with_flat=False)
+
+
+def test_small_rungs_solve_a_sliver_of_the_ball(taylor_p3):
+    # the flat norm is localized to the chain: the two smallest rungs solve
+    # programs over under a tenth of the ball's triangles
+    cx, _ = fixtures.grid_square_complex(modp.taylor.LADDER_GRID_N)
+    inside = np.linalg.norm(cx.vertices, axis=1) <= 0.85
+    ball = np.count_nonzero(inside[cx.simplices[2]].all(axis=1))
+    decs = modp.taylor._flat_ladder(taylor_p3, taylor_p3.singular_circles[0], [0.05, 0.025])
+    for dec in decs:
+        assert 0 < dec.columns < 0.1 * ball
+        assert dec.optimality_gap <= 1e-9
+
+
+def test_brent_root_is_scipys(monkeypatch):
+    # the closed-form arcs find their roots with a port of scipy's brentq,
+    # so that a curved network loads no scipy.optimize; the roots are the
+    # same floats
+    from scipy.optimize import brentq
+
+    port = modp.taylor._brentq
+    roots = []
+
+    def both(f, a, b):
+        roots.append((port(f, a, b), brentq(f, a, b, xtol=1e-15)))
+        return roots[-1][0]
+
+    monkeypatch.setattr(modp.taylor, "_brentq", both)
+    modp.build_taylor_example(3, [-40.0, 0.0, 40.0], delta=0.04)
+    assert len(roots) > 50
+    assert all(mine == theirs for mine, theirs in roots)

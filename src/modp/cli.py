@@ -139,11 +139,12 @@ def cmd_decay_scan(args) -> int:
     rows = decay_scan(R, q, _parse_floats(args.radii), with_flat=not args.no_flat)
     with open(args.csv, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["r", "excess", "flat_distance", "fitted_C"])
+        w.writerow(["r", "excess", "flat_distance", "fitted_C", "flat_gap"])
         for row in rows:
             w.writerow([row["r"], row["excess"],
                         "" if row["flat_distance"] is None else row["flat_distance"],
-                        row["fitted_C"]])
+                        row["fitted_C"],
+                        "" if row["flat_gap"] is None else row["flat_gap"]])
     _emit({"rows": len(rows), "csv": args.csv, "meta": _meta(args)}, args.out)
     return 0
 

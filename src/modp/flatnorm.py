@@ -152,10 +152,17 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     in supp Z the simplices of W have volume at most the value.  So for any
     value V of a witness, an optimum lies on the simplices that a search
     from the seeds' cofaces reaches through at most floor(V / vmin) + 1
-    simplices of W, vmin the least volume in W_{k+1}.  When the cofaces
-    and their one-step reach are at most half of the columns, that program
-    is solved first, and then the one its value allows, unless that lies
-    inside the first or is over half of the columns (then all are used).
+    simplices of W, vmin the least volume in W_{k+1}.  Call a k-face of W
+    where T vanishes mod p heavy when its volume exceeds V.  If a heavy face
+    e had exactly one coface f in supp Z, (boundary Z)_e = +/-z_f would be
+    nonzero mod p and R alone would cost more than V; so a heavy face with
+    one coface seals it to 0, across a heavy face with two cofaces both are
+    in supp Z or neither is, and a face with more cofaces tells nothing
+    (``_sealed``).  When the cofaces and their one-step reach are at most
+    half of the columns, that program is solved first, and then the one its
+    value allows, less what the closure of the rest and the sealed cofaces
+    across the two-coface heavy faces reaches, unless that lies inside the
+    first or is over half of the columns (then all are used).
     Both solves share ``time_limit``.  The gap reported is that of the last
     solve, which holds an optimum; if that solve finds no incumbent, the
     first witness is returned with an infinite gap.
@@ -221,6 +228,7 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
         return solve(columns, time_limit)
     first = solve(np.flatnonzero(near), time_limit)
     allowed = _reach(join, start, in_wz, int(min(first.value / vmin, nz)) + 1)
+    allowed &= ~_sealed(join, ~seed & (cx.volumes[k][wr] > first.value), ~allowed)
     if not (allowed & ~near).any():
         return first
     cols = np.flatnonzero(allowed) if 2 * allowed.sum() <= len(columns) else columns
@@ -256,6 +264,17 @@ def _reach(join, start, costly, budget: int) -> np.ndarray:
             break
         seen = close(seen | new)
     return seen
+
+
+def _sealed(join, heavy, zero) -> np.ndarray:
+    """The columns of ``join`` that vanish in an optimum that vanishes on
+    ``zero`` and in which no row marked ``heavy`` has exactly one column in
+    its support: a heavy row's only column vanishes, and across a heavy row
+    with two columns, both vanish or neither does.  A boolean mask."""
+    cofaces = np.diff(join.indptr)
+    zero = zero.copy()
+    zero[join[heavy & (cofaces == 1)].indices] = True
+    return _reach(join[heavy & (cofaces == 2)], zero, np.zeros_like(zero), 0)
 
 
 def _flat_program(B, t, bpi, vol_z, in_wz, vol_r, p, time_limit):

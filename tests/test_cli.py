@@ -337,7 +337,9 @@ def test_taylor_command_round_trips(tmp_path):
     scan = run(scan_args, tmp_path)
     assert scan.returncode == 0
     csv_text = (tmp_path / "scan.csv").read_text()
-    assert len(csv_text.strip().splitlines()) == 3
+    header, *rows = csv_text.strip().splitlines()
+    assert header == "r,excess,flat_distance,fitted_C,flat_gap" and len(rows) == 2
+    assert all(row.split(",")[2] == row.split(",")[4] == "" for row in rows)
     # the circles, mass and residuals are derived from the arcs on load
     data["singular_circles"][0]["x"] += 0.1
     data["generator"]["mass"] = 0.0

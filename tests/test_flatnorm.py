@@ -264,8 +264,12 @@ def _ball(cx, radius):
 def test_localized_program_keeps_the_value_of_the_full_program(monkeypatch):
     # sparse chains, as the decay ladder makes them: the difference of a
     # rasterized segment across a ball and a bent one with the same ends, on
-    # a grid; each is solved on the neighbourhood of the chain and again
-    # with the neighbourhood forced to every column
+    # a grid; then small closed loops and shallow arcs over their chords,
+    # whose values lie below 1/8, the shortest grid edge, so that every face
+    # in W where T vanishes mod p is heavy.  Each is solved on the
+    # neighbourhood of the chain, the small ones again without the seal, and
+    # all again with the neighbourhood forced to every column and nothing
+    # sealed
     cx, spacing = fixtures.grid_square_complex(16)
     cofaces = np.diff(cx.incidence[2].tocsr().indptr)
     rng = np.random.default_rng(2020)
@@ -281,7 +285,30 @@ def test_localized_program_keeps_the_value_of_the_full_program(monkeypatch):
                 fixtures.rasterize_polyline(cx, spacing, np.array([a, b]))
                 - fixtures.rasterize_polyline(cx, spacing, bent))
         cases.append((t, p, _ball(cx, rng.uniform(0.3, 0.9))))
+    rng = np.random.default_rng(2323)
+    for i in range(20):
+        p = (2, 3, 5)[i % 3]
+        if i % 2:  # a small closed loop
+            n = int(rng.integers(3, 5))
+            angle = (rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(n) / n
+                     + rng.uniform(-0.3, 0.3, n))
+            corners = rng.uniform(-0.3, 0.3, 2) + rng.uniform(0.16, 0.24, (n, 1)) * np.c_[
+                np.cos(angle), np.sin(angle)]
+            t = fixtures.rasterize_polyline(cx, spacing, np.vstack([corners, corners[:1]]))
+        else:  # a chord and a shallow arc over it
+            a = rng.uniform(-0.3, 0.3, 2)
+            phi = rng.uniform(0, 2 * np.pi)
+            b = a + rng.uniform(0.4, 0.8) * np.array([np.cos(phi), np.sin(phi)])
+            s = np.linspace(0, 1, 9)[:, None]
+            normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+            arc = a + s * (b - a) + rng.uniform(0.08, 0.14) * 4 * s * (1 - s) * normal
+            t = (fixtures.rasterize_polyline(cx, spacing, np.array([a, b]))
+                 - fixtures.rasterize_polyline(cx, spacing, arc))
+        cases.append((t, p, None if i % 4 == 0 else _ball(cx, rng.uniform(0.65, 0.8))))
+    small = cases[40:]
     local = [modp.flat_norm_modp(t, p, W) for t, p, W in cases]
+    monkeypatch.setattr(flatnorm, "_sealed", lambda join, heavy, zero: np.zeros_like(zero))
+    unsealed = [modp.flat_norm_modp(t, p, W) for t, p, W in small]
     monkeypatch.setattr(flatnorm, "_reach",
                         lambda join, start, costly, budget: np.ones(join.shape[1], bool))
     fulls = [modp.flat_norm_modp(t, p, W) for t, p, W in cases]
@@ -293,10 +320,14 @@ def test_localized_program_keeps_the_value_of_the_full_program(monkeypatch):
         box = np.ceil((np.abs(t.to_dense()) + cofaces * (p // 2)) / p)
         assert np.all(np.abs(dec.P.to_dense()) <= box)
         assert dec.columns <= full.columns
-    assert sum(dec.value > 0 for dec in local) >= 30
+    assert sum(dec.value > 0 for dec in local[:40]) >= 30
     # a quarter end on fewer columns than the region offers; the rest are 0,
     # or have values that allow over half of them
-    assert sum(0 < d.columns < f.columns for d, f in zip(local, fulls)) >= 9
+    assert sum(0 < d.columns < f.columns for d, f in zip(local[:40], fulls)) >= 9
+    # every small chain has a value below the edge; the seal ends at least
+    # half of them on fewer columns
+    assert all(0 < dec.value < spacing for dec in local[40:])
+    assert sum(d.columns < u.columns for d, u in zip(local[40:], unsealed, strict=True)) >= 10
 
 
 def test_second_program_reaches_the_middle_of_a_wide_filling():
@@ -310,6 +341,56 @@ def test_second_program_reaches_the_middle_of_a_wide_filling():
     dec = modp.flat_norm_modp(t, 3)
     assert dec.value == pytest.approx(9 * spacing ** 2, abs=1e-12)
     assert dec.R.is_zero() and modp.boundary(dec.Z) + 3 * dec.P == t
+
+
+def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):
+    # an open book: two thin pages A and B and a tall page C on the spine
+    # (0, 1), which T does not touch; C's other edges have no second coface,
+    # so C is sealed, but the optimum fills A and B across the spine.  A
+    # strip N, M, Q hangs off A, with its open edges outside W, and four far
+    # triangles pad the complex, so that a second program runs on what the
+    # first value allows
+    verts = [(0, 0, 0), (1, 0, 0), (0.5, 0.02, 0), (0.5, -0.02, 0), (0.5, 0, 1),
+             (0.25, 0.6, 0), (0.75, 0.6, 0), (0.5, 1.1, 0)]
+    tris = [(0, 1, 2), (0, 3, 1), (0, 1, 4), (0, 2, 5), (2, 5, 6), (5, 6, 7)]
+    for i in range(4):
+        verts += [(5 + i, 5, 0), (5.1 + i, 5, 0), (5 + i, 5.02, 0)]
+        tris.append((len(verts) - 3, len(verts) - 2, len(verts) - 1))
+    edges = sorted({tuple(sorted(e)) for a, b, c in tris for e in ((a, b), (b, c), (a, c))})
+    cx = modp.SimplicialComplex(verts, {1: edges, 2: tris})
+    open_edges = {(0, 5), (2, 6), (5, 7), (6, 7)}
+    W = {1: {i for i, e in enumerate(edges) if e not in open_edges}, 2: set(range(len(tris)))}
+    t = modp.boundary(modp.IntegerChain(cx, 2, {0: 1, 1: 1}))
+    assert t.vector[edges.index((0, 1))] == 0
+    programs = []
+    solve = flatnorm._solve_milp
+    monkeypatch.setattr(flatnorm, "_solve_milp", lambda *a: programs.append(a) or solve(*a))
+    dec = modp.flat_norm_modp(t, 3, W)
+    assert len(programs) == 2 and dec.columns == 5  # C is left out
+    assert dec.value == pytest.approx(0.02, abs=1e-12)
+    assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, 3, 1, W), abs=1e-12)
+    assert dec.Z.coeffs == {0: 1, 1: 1} and dec.R.is_zero()
+
+
+def test_light_faces_where_t_vanishes_seal_nothing():
+    # a ladder of four 0.1 x 1 rectangles; T is its two end rungs.  The
+    # optimum fills the ladder and pays R along its top and bottom, edges
+    # where T vanishes that have one coface each; they are shorter than the
+    # first program's value (2, T itself), so they seal nothing, and the
+    # second program reaches the middle of the ladder
+    m, dx = 4, 0.1
+    verts = [(i * dx, y) for y in (0.0, 1.0) for i in range(m + 1)]
+    tris = [t for i in range(m) for t in ((i, i + 1, m + i + 2), (i, m + i + 2, m + i + 1))]
+    edges = sorted({tuple(sorted(e)) for a, b, c in tris for e in ((a, b), (b, c), (a, c))})
+    cx = modp.SimplicialComplex(verts, {1: edges, 2: tris})
+    rim = modp.boundary(modp.IntegerChain(cx, 2, {j: 1 for j in range(len(tris))}))
+    rungs = [edges.index((0, m + 1)), edges.index((m, 2 * m + 1))]
+    t = modp.IntegerChain(cx, 1, {j: int(rim.vector[j]) for j in rungs})
+    for p in (2, 3, 5):
+        dec = modp.flat_norm_modp(t, p)
+        assert dec.value == pytest.approx(m * dx + 2 * m * dx, abs=1e-12)
+        assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 1), abs=1e-12)
+        assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
 
 
 def test_localized_program_matches_brute_oracle_with_regions():

@@ -381,16 +381,29 @@ def test_decay_scan_rejects_far_point(taylor_p3):
         modp.decay_scan(taylor_p3, (0.1, 0.0, 0.9), [0.2], with_flat=False)
 
 
-def test_small_rungs_solve_a_sliver_of_the_ball(taylor_p3):
-    # the flat norm is localized to the chain: the two smallest rungs solve
-    # programs over under a tenth of the ball's triangles
+def test_small_rungs_solve_a_sliver_of_the_ball(taylor_p3, monkeypatch):
+    # the flat norm is localized to the chain and sealed at the grid edges
+    # where it vanishes mod p, which are longer than every rung's value: each
+    # rung proves its value with its first program, over under a tenth of
+    # the triangles with an edge in the ball (the columns of the program
+    # without localization); the two smallest rungs also use under a tenth
+    # of the triangles inside the ball
+    from modp import flatnorm
+
     cx, _ = fixtures.grid_square_complex(modp.taylor.LADDER_GRID_N)
     inside = np.linalg.norm(cx.vertices, axis=1) <= 0.85
     ball = np.count_nonzero(inside[cx.simplices[2]].all(axis=1))
-    decs = modp.taylor._flat_ladder(taylor_p3, taylor_p3.singular_circles[0], [0.05, 0.025])
+    offered = np.count_nonzero(inside[cx.simplices[2]].sum(axis=1) >= 2)
+    programs = []
+    solve = flatnorm._solve_milp
+    monkeypatch.setattr(flatnorm, "_solve_milp", lambda *a: programs.append(a) or solve(*a))
+    decs = modp.taylor._flat_ladder(taylor_p3, taylor_p3.singular_circles[0],
+                                    [0.2, 0.1, 0.05, 0.025])
+    assert len(programs) == 4
     for dec in decs:
-        assert 0 < dec.columns < 0.1 * ball
+        assert 0 < dec.columns < 0.1 * offered
         assert dec.optimality_gap <= 1e-9
+    assert all(dec.columns < 0.1 * ball for dec in decs[2:])
 
 
 def test_brent_root_is_scipys(monkeypatch):

@@ -34,13 +34,6 @@ def ball_volume(m: int) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        return rows
-    q, _ = np.linalg.qr(rows.T)
-    return q.T[: rows.shape[0]]
-
-
 def check_directions(dirs: np.ndarray, what: str) -> None:
     """Raise ValueError unless the rows of ``dirs`` are pairwise distinct unit vectors."""
     if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
@@ -116,17 +109,12 @@ class OpenBook:
 
     @classmethod
     def from_json(cls, data: dict) -> "OpenBook":
+        """The book of ``to_json``.  ``"slice"`` is required: the page
+        directions are coordinates in that basis."""
         D = data["m"] + data["n"]
         spine = np.array(data["spine"], dtype=float).reshape(data["m"] - 1, D)
-        if "slice" in data:
-            sl = np.array(data["slice"], dtype=float)
-        else:
-            # complete the spine to a slice plane
-            basis = np.vstack([spine, np.eye(D)]) if spine.size else np.eye(D)
-            q = _orthonormalize(basis)[spine.shape[0]:spine.shape[0] + 2]
-            sl = q
         pages = np.array([pg["dir"] for pg in data["pages"]], dtype=float)
-        return cls(spine, sl, pages)
+        return cls(spine, data["slice"], pages)
 
 
 @dataclass

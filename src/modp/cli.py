@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="integral currents mod p at desk scale")
     sub = ap.add_subparsers(dest="command")
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, out_help="write JSON here instead of stdout"):
+        p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--seed", type=int, default=0,
                        help="recorded as meta.seed; no command draws a random number")
         return p
@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=float, required=True)
 
-    p = add("make-fixture", cmd_make_fixture)
+    p = add("make-fixture", cmd_make_fixture,
+            out_help="directory that receives the fixture files (default: the "
+                     "current one); the JSON report goes to stdout")
     p.add_argument("name")
     p.add_argument("--h", type=float, default=0.2)
 

@@ -125,16 +125,24 @@ def _solve_milp(c, A, lo, hi, lb, ub, integrality, time_limit):
     return x, nodes, gap
 
 
+def _check_time_limit(time_limit) -> None:
+    """Raise ValueError unless ``time_limit`` is >= 0 (inf for none); HiGHS
+    would ignore a negative or NaN limit and solve without one."""
+    if not time_limit >= 0:
+        raise ValueError(f"time_limit must be >= 0 (inf for none), not {time_limit!r}")
+
+
 def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
                    time_limit: float = 120.0) -> FlatDecomposition:
     """Minimize mass(R)+mass(Z) over W subject to T = R + boundary(Z) + p*P.
 
     Z ranges over integer (k+1)-chains, P over integer k-chains; R is
     eliminated.  The mixed-integer program is solved by HiGHS with a zero
-    relative gap.  If the time limit stops it with an incumbent, that
-    incumbent is returned with the unclosed gap in ``optimality_gap``; with
-    no incumbent a ``RuntimeError`` is raised.  A chain that vanishes mod p
-    on W has value 0 with Z = 0 and P = T / p on W, and no program.
+    relative gap within ``time_limit`` seconds (>= 0, inf for none).  If the
+    time limit stops it with an incumbent, that incumbent is returned with
+    the unclosed gap in ``optimality_gap``; with no incumbent a
+    ``RuntimeError`` is raised.  A chain that vanishes mod p on W has value
+    0 with Z = 0 and P = T / p on W, and no program.
 
     The variables are boxed without losing an optimum.  With P free, the
     cost of a k-simplex e is vol_e * |t_e - (boundary Z)_e|_p, the distance
@@ -170,6 +178,7 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     from scipy import sparse
 
     check_modulus(p)
+    _check_time_limit(time_limit)
     cx = T.complex
     k = T.degree
     has_z = k + 1 <= cx.dim
@@ -417,9 +426,10 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     Point boundary data with at most 8 support points goes to the exact
     Dreyfus-Wagner Steiner dynamic program; everything else to the
     mixed-integer program of ``_plateau_milp``, whose solve stops after
-    ``time_limit`` seconds.
+    ``time_limit`` seconds, which must be >= 0 whichever engine runs.
     """
     check_modulus(p)
+    _check_time_limit(time_limit)
     if b.p != p:
         raise ValueError("modulus mismatch between class and argument")
     cx = b.representative.complex

@@ -1,18 +1,19 @@
-"""Rotationally symmetric singular minimizers via weighted geodesic networks.
+"""Rotationally symmetric singular surfaces via weighted geodesic networks.
 
 A surface of revolution about the y-axis is encoded by its generator in the
-half-plane {x > 0}.  Minimizing area among rotationally symmetric surfaces
-reduces to minimizing weighted length of the generator; both the
-area-of-revolution weight w(x) = x (the default) and the tensor convention
-x*(dx^2 + dy^2), i.e. w(x) = sqrt(x), are supported.
+half-plane {x > 0}, and its area is the weighted length of the generator;
+both the area-of-revolution weight w(x) = x (the default) and the tensor
+convention x*(dx^2 + dy^2), i.e. w(x) = sqrt(x), are supported.  A network
+whose junctions balance is stationary for weighted length, so its surface is
+stationary with a singular circle at each junction.  It need not minimize
+area: the shipped -40/0/40 example is heavier than three flat disks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,17 +124,9 @@ class WeightedMetric:
             d = hi - lo
             length = float(np.hypot(*d))
         else:
-            peak = _golden_reach(rise, -left, right, target)
-            if peak is None:
+            roots = _level_crossings(rise, -left, right, target)
+            if roots is None:
                 return None
-
-            def excess(s):
-                return rise(s) - target
-
-            roots = [peak] if excess(peak) == 0 else \
-                [_brentq(excess, -left, peak)]
-            if excess(right) < 0 < excess(peak):
-                roots.append(_brentq(excess, peak, right))
             s = min(roots, key=weighted_length)
             r, v0, v1 = ends(s)
             if cat:
@@ -185,72 +178,49 @@ def _invert_vertex_integral(target, r):
     return np.copysign(v, target)
 
 
-def _brentq(f, xpre, xcur):
-    """A root of f between xpre and xcur, where f changes sign, by Brent's
-    method: the iteration of ``scipy.optimize.brentq`` with xtol=1e-15 and
-    its default rtol and maxiter, operation for operation, so the root is
-    the same float."""
-    xtol, rtol, maxiter = 1e-15, 4 * np.finfo(float).eps, 100
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f must have different signs at the ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
-
-
-def _golden_reach(f, lo, hi, level):
-    """A point of [lo, hi] where the unimodal f reaches ``level``, found on
-    the way to its maximum by golden-section search; None when the
-    maximum stays below."""
+def _level_crossings(f, lo, hi, level):
+    """The points of [lo, hi] where the unimodal f meets ``level``, one on
+    each side of its maximum where f at that end lies below the level; None
+    when the maximum stays below it.  Golden-section steps toward the
+    maximum stop where f first reaches the level, and the ends they discard
+    narrow both brackets; a bracketed Illinois regula falsi (Dowell and
+    Jarratt, BIT 11, 1971) shrinks each to two adjacent floats, or to a
+    point where f equals the level, and returns its end where f reaches it.
+    """
     g = (math.sqrt(5) - 1) / 2
+    f_lo, f_hi = f(lo) - level, f(hi) - level
     x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while True:
-        if f1 >= level:
-            return x1
-        if f2 >= level:
-            return x2
+    f1, f2 = f(x1) - level, f(x2) - level
+    while f1 < 0 and f2 < 0:
         if hi - lo < 1e-12:
             return None
         if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
+            lo, f_lo, x1, f1 = x1, f1, x2, f2
             x2 = lo + g * (hi - lo)
-            f2 = f(x2)
+            f2 = f(x2) - level
         else:
-            hi, x2, f2 = x2, x1, f1
+            hi, f_hi, x2, f2 = x2, f2, x1, f1
             x1 = hi - g * (hi - lo)
-            f1 = f(x1)
+            f1 = f(x1) - level
+    crossings = []
+    for a, fa in ((lo, f_lo), (hi, f_hi)):
+        if fa >= 0:
+            continue
+        # f(a) < level <= f(b); halve the value kept at an end that stays twice
+        b, fb, moved = (x1, f1, 0) if f1 >= 0 else (x2, f2, 0)
+        while fb != 0:
+            x = b - fb * (b - a) / (fb - fa)
+            if not min(a, b) < x < max(a, b):  # the secant rounds onto an end
+                x = math.nextafter(a, b) if abs(x - a) <= abs(x - b) else math.nextafter(b, a)
+                if x in (a, b):
+                    break
+            fx = f(x) - level
+            if fx < 0:
+                a, fa, fb, moved = x, fx, fb / 2 if moved < 0 else fb, -1
+            else:
+                b, fb, fa, moved = x, fx, fa / 2 if moved > 0 else fa, 1
+        crossings.append(b)
+    return crossings
 
 
 def geodesic_shoot(start, direction, length: float, metric: WeightedMetric,
@@ -473,22 +443,20 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
     circle = _nearest_circle(R, q)
     book = tangent_book_at(R, q)
     radii = sorted((float(r) for r in radii), reverse=True)
-    rows = []
-    r0 = radii[0]
-    e0 = excess(R.sample, book, q, r0)
-    c_excess = e0 / math.sqrt(r0) if r0 > 0 else 0.0
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValueError("radii must be non-empty, finite and greater than 0")
+    excesses = [excess(R.sample, book, q, r) for r in radii]
+    c_excess = excesses[0] / math.sqrt(radii[0])
     flats = _flat_ladder(R, circle, radii) if with_flat else [None] * len(radii)
-    c_flat = flats[0].value / r0 ** 0.25 if with_flat else None
-    for r, fl in zip(radii, flats):
-        rows.append({
-            "r": r,
-            "excess": excess(R.sample, book, q, r),
-            "flat_distance": None if fl is None else fl.value,
-            "flat_gap": None if fl is None else fl.optimality_gap,
-            "fitted_C": c_excess,
-            "fitted_C_flat": c_flat,
-        })
-    return rows
+    c_flat = flats[0].value / radii[0] ** 0.25 if with_flat else None
+    return [{
+        "r": r,
+        "excess": e,
+        "flat_distance": None if fl is None else fl.value,
+        "flat_gap": None if fl is None else fl.optimality_gap,
+        "fitted_C": c_excess,
+        "fitted_C_flat": c_flat,
+    } for r, e, fl in zip(radii, excesses, flats)]
 
 
 # cells per side of the square grid that carries the flat-distance ladder

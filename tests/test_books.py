@@ -109,6 +109,16 @@ def test_book_json_round_trip(y_cone):
     assert cone.kappa.tolist() == [1, 1, 1] and cone.p == 3
 
 
+def test_book_json_without_a_slice_is_an_input_error(y_cone):
+    # page directions are coordinates in the slice basis; no frame is guessed
+    data = y_cone.book.to_json(p=3)
+    del data["slice"]
+    with pytest.raises(KeyError, match="slice"):
+        modp.OpenBook.from_json(data)
+    with pytest.raises(KeyError, match="slice"):
+        modp.ConeModP.from_json(data)
+
+
 def test_excess_of_book_sample_is_zero(y_cone):
     s = modp.sample_cone(y_cone, 1.0, 0.01)
     assert modp.excess(s, y_cone.book, [0.0, 0.0], 0.5) < 1e-12

@@ -86,6 +86,15 @@ def test_plateau_milp_without_incumbent_is_exit_3(tmp_path):
     assert "MILP failed" in res.stderr
 
 
+def test_plateau_rejects_a_negative_time_limit(tmp_path):
+    assert run(["make-fixture", "disk-mesh", "--h", "0.25"],
+               tmp_path).returncode == 0
+    res = run(["plateau", "--complex", "disk-mesh.json", "--boundary", "disk-boundary.json",
+               "--p", "3", "--time-limit", "-1"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "time_limit" in res.stderr
+
+
 def test_plateau_on_disconnected_complex(tmp_path):
     # two unit edges in different components; {0: 1, 2: 2} balances only across them
     cx = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 2.0]],
@@ -313,6 +322,19 @@ def test_excess_rejects_book_frame_that_is_not_orthonormal(tmp_path):
     assert json.loads(res.stdout)["excess"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_excess_rejects_book_without_a_slice(tmp_path):
+    pages = [{"dir": [math.cos(a), math.sin(a)], "kappa": 1}
+             for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    book = {"m": 2, "n": 1, "spine": [[0.0, 0.0, 1.0]], "pages": pages}
+    sample = {"m": 2, "points": [[1.0, 0.0, 0.0]], "weights": [1.0], "delta": 0.1}
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    (tmp_path / "sample.json").write_text(json.dumps(sample))
+    res = run(["excess", "--sample", "sample.json", "--book", "book.json",
+               "--center", "0,0,0", "--radius", "2"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "slice" in res.stderr
+
+
 def test_missing_file_is_exit_2(tmp_path):
     res = run(["classify-cone", "--config", "nope.json"], tmp_path)
     assert res.returncode == 2
@@ -352,6 +374,17 @@ def test_taylor_command_round_trips(tmp_path):
     scan = run(scan_args, tmp_path)
     assert scan.returncode == 3, scan.stderr
     assert "unbalanced" in scan.stderr
+
+
+@pytest.mark.parametrize("radii", ["", "nan", "inf", "0.2,-0.1"])
+def test_decay_scan_rejects_bad_radii(tmp_path, radii):
+    assert run(["taylor", "--p", "3", "--angles=-40,0,40", "--delta", "0.05",
+                "--out", "surface.json"], tmp_path).returncode == 0
+    res = run(["decay-scan", "--surface", "surface.json", f"--radii={radii}",
+               "--no-flat", "--csv", "scan.csv"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "radii" in res.stderr
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_flat_norm_reports_solver_gap_and_has_no_engine_option(tmp_path):

@@ -191,6 +191,24 @@ def test_plateau_milp_without_incumbent_is_a_solver_failure():
     assert modp.plateau_modp(b, 3).optimality_gap < 1e-6
 
 
+@pytest.mark.parametrize("limit", [-1.0, math.nan])
+def test_time_limit_that_does_nothing_is_rejected(triangle, limit):
+    # HiGHS would ignore the limit and solve to optimality
+    cx, t = triangle
+    with pytest.raises(ValueError, match="time_limit"):
+        modp.flat_norm_modp(t, 3, time_limit=limit)
+    with pytest.raises(ValueError, match="time_limit"):  # vanishes mod 3: no program
+        modp.flat_norm_modp(3 * t, 3, time_limit=limit)
+    mesh, _ = fixtures.disk_mesh(0.25)
+    few = modp.reduce_modp(modp.IntegerChain(mesh, 0, {v: 1 for v in range(0, 12, 4)}), 3)
+    nine = modp.reduce_modp(modp.IntegerChain(mesh, 0, {v: 1 for v in range(0, 36, 4)}), 3)
+    for b in (few, nine):  # the Steiner DP and the MILP
+        with pytest.raises(ValueError, match="time_limit"):
+            modp.plateau_modp(b, 3, time_limit=limit)
+    assert modp.flat_norm_modp(t, 3, time_limit=math.inf).value == pytest.approx(0.5, abs=1e-9)
+    assert modp.plateau_modp(few, 3, time_limit=math.inf).optimality_gap == 0.0
+
+
 def test_flat_norm_matches_brute_oracle_on_random_strips():
     # guards the single HiGHS flat-norm path against the exhaustive oracle
     cx = fixtures.strip_complex(4)

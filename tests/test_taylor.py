@@ -376,6 +376,13 @@ def test_decay_scan_raises_what_a_rung_raises(taylor_p3, monkeypatch):
         modp.decay_scan(taylor_p3, (c["x"], 0.0, c["y"]), [0.2, 0.1, 0.05, 0.025])
 
 
+@pytest.mark.parametrize("radii", [[], [math.nan], [math.inf], [0.2, 0.0], [0.2, -0.1]])
+def test_decay_scan_rejects_bad_radii(taylor_p3, radii):
+    q = (taylor_p3.singular_circles[0]["x"], 0.0, taylor_p3.singular_circles[0]["y"])
+    with pytest.raises(ValueError, match="radii"):
+        modp.decay_scan(taylor_p3, q, radii, with_flat=False)
+
+
 def test_decay_scan_rejects_far_point(taylor_p3):
     with pytest.raises(ValueError, match="circle"):
         modp.decay_scan(taylor_p3, (0.1, 0.0, 0.9), [0.2], with_flat=False)
@@ -406,20 +413,55 @@ def test_small_rungs_solve_a_sliver_of_the_ball(taylor_p3, monkeypatch):
     assert all(dec.columns < 0.1 * ball for dec in decs[2:])
 
 
-def test_brent_root_is_scipys(monkeypatch):
-    # the closed-form arcs find their roots with a port of scipy's brentq,
-    # so that a curved network loads no scipy.optimize; the roots are the
-    # same floats
+def _meets_level_exactly(f, x, level):
+    # f equals the level at x, or f - level changes sign between x and a
+    # neighbouring float
+    g = f(x) - level
+    return g == 0 or any((f(math.nextafter(x, to)) - level < 0) != (g < 0)
+                         for to in (-math.inf, math.inf))
+
+
+def test_level_crossings_of_a_parabola():
+    from modp.taylor import _level_crossings
+
+    def f(s):
+        return -(s - 1.0) ** 2
+
+    assert _level_crossings(f, -3.0, 2.0, 0.1) is None  # above the maximum 0
+    both = _level_crossings(f, -3.0, 2.0, -0.25)
+    assert both == pytest.approx([0.5, 1.5], abs=1e-15)
+    # f(1.2) = -0.04 lies above the level: no crossing right of the peak
+    one = _level_crossings(f, -3.0, 1.2, -0.25)
+    assert one == pytest.approx([0.5], abs=1e-15)
+    assert all(_meets_level_exactly(f, x, -0.25) for x in both + one)
+
+
+def test_taylor_roots_are_exact_and_near_scipys(monkeypatch):
+    # the closed-form arcs find their roots without scipy.optimize, so that
+    # a curved network loads none; each root of the Taylor build is exact to
+    # float precision and within scipy's brentq tolerance of scipy's root
     from scipy.optimize import brentq
 
-    port = modp.taylor._brentq
-    roots = []
+    from modp import taylor
 
-    def both(f, a, b):
-        roots.append((port(f, a, b), brentq(f, a, b, xtol=1e-15)))
-        return roots[-1][0]
+    calls = []
+    crossings = taylor._level_crossings
 
-    monkeypatch.setattr(modp.taylor, "_brentq", both)
-    modp.build_taylor_example(3, [-40.0, 0.0, 40.0], delta=0.04)
-    assert len(roots) > 50
-    assert all(mine == theirs for mine, theirs in roots)
+    def record(f, lo, hi, level):
+        calls.append((f, lo, hi, level, crossings(f, lo, hi, level)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(taylor, "_level_crossings", record)
+    modp.build_taylor_example(3, [-40.0, 0.0, 40.0])
+    roots = 0
+    for f, lo, hi, level, found in calls:
+        if found is None:
+            continue
+        below = [end for end in (lo, hi) if f(end) < level]
+        assert len(found) == len(below)
+        for end, x in zip(below, found):
+            assert _meets_level_exactly(f, x, level)
+            theirs = brentq(lambda s: f(s) - level, *sorted((end, x)), xtol=1e-15)
+            assert abs(x - theirs) <= 1e-15 + 4 * np.finfo(float).eps * abs(theirs)
+            roots += 1
+    assert roots > 50

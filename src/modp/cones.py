@@ -5,6 +5,7 @@ multiplicities, under the euclidean or a conformal metric.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -223,27 +224,10 @@ class WeightedNetwork:
                 for j in self.junctions}
 
     def junction_tangents(self, j: int) -> list:
-        """(kappa, outgoing unit tangent) for arcs meeting node j.
-
-        The tangent is the chord of the polyline's first or last step.  On
-        a curved network that is the chord of one of 512 equal steps of the
-        geodesic, not the arc's tangent at the node, and the junction is
-        balanced on these chords (``_shooting_polish``): a known bias of
-        about 1e-3 in the balance and 6e-4 in the junction on the Taylor
-        example.
-        """
-        out = []
-        for arc in self.arcs:
-            if arc.kappa == 0:
-                continue
-            if arc.a == j:
-                d = arc.polyline[1] - arc.polyline[0]
-            elif arc.b == j:
-                d = arc.polyline[-2] - arc.polyline[-1]
-            else:
-                continue
-            out.append((abs(arc.kappa), d / np.linalg.norm(d)))
-        return out
+        """(kappa, outgoing unit tangent) for arcs meeting node j, by the
+        one rule that ``_shooting_polish`` balances junctions on
+        (``_end_tangents``)."""
+        return _end_tangents(j, [(arc.a, arc.b, arc.kappa, arc.polyline) for arc in self.arcs])
 
     def to_json(self) -> dict:
         return {
@@ -266,6 +250,27 @@ class WeightedNetwork:
                 for a in data["arcs"]]
         return cls(np.array(data["nodes"], float), data["terminal_multiplicities"], arcs,
                    data["weight"], data["p"])
+
+
+def _end_tangents(j, arcs):
+    """(|kappa|, outgoing unit tangent) at node j of each arc (a, b, kappa,
+    polyline) with kappa != 0 that meets it: the chord of the polyline's
+    first or last step.  On a curved network that is the chord of one of
+    512 equal steps of the geodesic, not the arc's tangent at the node: a
+    known bias of about 1e-3 in the balance and 6e-4 in the junction on the
+    Taylor example (ROADMAP item 2)."""
+    out = []
+    for a, b, kappa, poly in arcs:
+        if kappa == 0:
+            continue
+        if a == j:
+            d = poly[1] - poly[0]
+        elif b == j:
+            d = poly[-2] - poly[-1]
+        else:
+            continue
+        out.append((abs(kappa), d / np.linalg.norm(d)))
+    return out
 
 
 class EuclideanWeight:
@@ -717,7 +722,9 @@ def solve_network(terminals, p: int, weight="euclidean",
     its junctions re-balanced on the chords of the arcs' end steps
     (``_shooting_polish``).  The first candidate that raises no ValueError
     or FloatingPointError is returned; each one that does counts in
-    ``failed_starts``, and with none left RuntimeError is raised.
+    ``failed_starts``, and with none left RuntimeError is raised, naming
+    the last error.  Under a weight with ``min_x``, a terminal with
+    x <= ``min_x`` raises ValueError before any solve.
     ``k_interior`` is deprecated and ignored: any value but None warns.
     """
     if k_interior is not None:
@@ -739,76 +746,95 @@ def solve_network(terminals, p: int, weight="euclidean",
     if sum(mult) % p != 0:
         raise ValueError("terminal multiplicities do not sum to 0 mod p")
     metric = _resolve_weight(weight)
+    if getattr(metric, "min_x", None) is not None and np.any(pts[:, 0] <= metric.min_x):
+        raise ValueError(f"terminals must lie in x > {metric.min_x:g}, the weight's domain")
 
     n = len(pts)
     njunc = n - 2
     centre = np.tile(pts.mean(axis=0), njunc)
     candidates = []
-    skipped = failed = 0
+    skipped, failed, last = 0, 0, None
     for edges in sorted(_full_topologies(n)):
         # every topology is a tree, so the sum check above balances it
         kappa = tree_multiplicities(edges, n + njunc, mult, p)
         prob = _TopologyProblem(list(edges), kappa, pts, metric)
         try:
             val, x = prob.solve(centre)
-        except (ValueError, FloatingPointError):
+        except (ValueError, FloatingPointError) as err:
             skipped += 1
             failed += 1
+            last = err
             continue
         candidates.append((val, prob, x))
 
     for val, prob, x in sorted(candidates, key=lambda c: c[0]):
         try:
             net = _network(prob, x, mult, p)
-        except (ValueError, FloatingPointError):
+        except (ValueError, FloatingPointError) as err:
             failed += 1
+            last = err
             continue
         net.skipped_topologies, net.failed_starts = skipped, failed
         return net
-    raise RuntimeError("all topologies failed to optimize")
+    raise RuntimeError(f"all topologies failed to optimize; the last: {last}")
 
 
 def _network(prob, x, mult, p) -> WeightedNetwork:
     """The network of a solved tree: contracted (``_contract``), and under a
-    conformal weight with geodesic arcs (``_shooting_polish``).  A junction
-    that the polish leaves unbalanced beyond ``BALANCE_TOL`` is merged along
-    its shortest arc, and the smaller tree is taken when its network is not
-    heavier: a geodesic junction can collapse onto a node where its
-    straight-segment start does not."""
+    conformal weight with geodesic arcs (``_shooting_polish``).  A tree with
+    an arc that cannot be shot is merged along its shortest arc at a
+    junction, and one with a junction left unbalanced beyond ``BALANCE_TOL``
+    along its shortest arc at that junction: a geodesic junction can
+    collapse onto a node where its straight-segment start does not.  The
+    merged tree replaces a tree that cannot be shot (ValueError when there
+    is no junction to merge), and an unbalanced one when its network does
+    not raise ValueError and is not heavier."""
     prob, x = _contract(prob, x)
     nodes = prob.nodes(x)
     polys = {idx: nodes[list(prob.edges[idx])] for idx in prob.live}
     if prob.curved:
-        nodes, polys = _shooting_polish(prob, nodes, polys)
-    metric = prob.metric
+        try:
+            nodes, polys = _shooting_polish(prob, nodes, polys)
+        except ValueError:
+            if prob.n_junc == 0:
+                raise
+            return _merged_network(prob, nodes, range(prob.n_term, prob.n_nodes), mult, p)
     net = WeightedNetwork(nodes, mult,
                           [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
-                                      polyline_weighted_length(polys[idx], metric))
+                                      polyline_weighted_length(polys[idx], prob.metric))
                            for idx in prob.live],
-                          getattr(metric, "name", "conformal"), p)
+                          getattr(prob.metric, "name", "conformal"), p)
     unbalanced = [j for j, r in net.balance_residuals.items()
                   if r > BALANCE_TOL] if prob.curved else []
     if unbalanced:
-        lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
-        i = min((i for i, pair in enumerate(prob.pairs) if unbalanced[0] in pair),
-                key=lengths.__getitem__)
-        sub, y0, _ = _merged(prob, nodes[prob.n_term:].ravel(), *prob.pairs[i])
-        merged = _network(sub, y0, mult, p)
+        try:
+            merged = _merged_network(prob, nodes, unbalanced[:1], mult, p)
+        except ValueError:
+            return net
         if merged.mass <= net.mass:
             return merged
     return net
 
 
+def _merged_network(prob, nodes, juncs, mult, p) -> WeightedNetwork:
+    """The network (``_network``) of ``prob``'s tree at ``nodes`` merged
+    along its shortest live arc at one of the junctions ``juncs``."""
+    lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
+    i = min((i for i, pair in enumerate(prob.pairs) if set(pair) & set(juncs)),
+            key=lengths.__getitem__)
+    return _network(*_merged(prob, nodes[prob.n_term:].ravel(), *prob.pairs[i])[:2], mult, p)
+
+
 def _shooting_polish(prob, nodes, polys):
-    """Replace straight arcs by two-point geodesics (``_shoot_bvp``, closed
-    form under the shipped weights) and re-polish the junctions by Newton
-    steps on a finite-difference Hessian with a line search, for conformal
-    metrics.  The balance takes the exact start angle of an arc that leaves
-    a junction but, for an arc that ends there, the chord of its last of
-    512 steps; this is the known junction bias (``junction_tangents``)."""
+    """Geodesic arcs for a solved tree under a conformal weight: (nodes,
+    {arc: polyline}).  The arcs become two-point geodesics (``_shoot_bvp``),
+    and Newton steps on a finite-difference Hessian, with a line search,
+    balance the junctions on the rule of ``junction_tangents``.  Raises
+    ValueError when an arc cannot be shot at the start; later it stops where
+    it is when an arc cannot be shot, the Hessian is singular or no step
+    lowers the imbalance, and the caller judges the residual."""
     metric = prob.metric
-    n_term = prob.n_term
-    juncs = list(range(n_term, prob.n_nodes))
+    juncs = range(prob.n_term, prob.n_nodes)
 
     def arcs_from(nodes_now, init_polys):
         shot = {}
@@ -820,69 +846,43 @@ def _shooting_polish(prob, nodes, polys):
             L0 = float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
             res = _shoot_bvp(nodes_now[a], nodes_now[b], metric, theta0, L0)
             if res is None:
-                return None
-            shot[idx] = res
+                ends = [nodes_now[v].round(6).tolist() for v in (a, b)]
+                raise ValueError(f"no geodesic under the weight joins {ends[0]} and {ends[1]}")
+            shot[idx] = res[0]
         return shot
 
-    def junction_grad(nodes_now, shot):
-        grads = {}
-        for j in juncs:
-            g = np.zeros(2)
-            wj = float(metric.w(nodes_now[j][None])[0])
-            for idx in prob.live:
-                a, b = prob.edges[idx]
-                poly, theta, _ = shot[idx]
-                k = abs(prob.kappa[idx])
-                if a == j:
-                    tau = np.array([math.cos(theta), math.sin(theta)])
-                    g += -k * wj * tau
-                elif b == j:
-                    d = poly[-1] - poly[-2]
-                    tau = d / np.linalg.norm(d)
-                    g += k * wj * tau
-            grads[j] = g
-        return grads
+    def balance(nodes_now, shot):
+        """The mass's gradient in the junctions: -sum |kappa| w tau."""
+        arcs = [(*prob.edges[idx], prob.kappa[idx], shot[idx]) for idx in prob.live]
+        return np.ravel([-sum((k * wj * tau for k, tau in _end_tangents(j, arcs)), np.zeros(2))
+                         for j, wj in zip(juncs, metric.w(nodes_now[prob.n_term:]))])
 
     nodes = nodes.copy()
     shot = arcs_from(nodes, polys)
-    if shot is None:
-        return nodes, polys
     for _ in range(60):
-        grads = junction_grad(nodes, shot)
-        gnorm = math.sqrt(sum(float(g @ g) for g in grads.values()))
-        if gnorm < 1e-11:
+        gvec = balance(nodes, shot)
+        if np.linalg.norm(gvec) < 1e-11:
             break
         # finite-difference Hessian over all junction coords
-        nj = len(juncs)
-        gvec = np.concatenate([grads[j] for j in juncs])
-        H = np.zeros((2 * nj, 2 * nj))
-        eps = 1e-6
-        base_polys = {idx: shot[idx][0] for idx in shot}
-        for col in range(2 * nj):
-            nn = nodes.copy()
-            nn[juncs[col // 2], col % 2] += eps
-            sh = arcs_from(nn, base_polys)
-            if sh is None:
-                return nodes, {idx: shot[idx][0] for idx in shot}
-            gp = np.concatenate([junction_grad(nn, sh)[j] for j in juncs])
-            H[:, col] = (gp - gvec) / eps
+        H = np.empty((gvec.size, gvec.size))
         try:
+            for col in range(gvec.size):
+                nn = nodes.copy()
+                nn[juncs[col // 2], col % 2] += 1e-6
+                H[:, col] = (balance(nn, arcs_from(nn, shot)) - gvec) / 1e-6
             step = np.linalg.solve(0.5 * (H + H.T), -gvec)
-        except np.linalg.LinAlgError:
-            step = -gvec
+        except ValueError:  # an arc that cannot be shot, or a singular Hessian
+            break
         t = 1.0
-        moved = False
         for _ in range(30):
             nn = nodes.copy()
-            for i, j in enumerate(juncs):
-                nn[j] += t * step[2 * i: 2 * i + 2]
-            sh = arcs_from(nn, base_polys)
-            if sh is not None:
-                gn = np.concatenate([junction_grad(nn, sh)[j] for j in juncs])
-                if np.linalg.norm(gn) < np.linalg.norm(gvec):
-                    nodes, shot, moved = nn, sh, True
+            nn[prob.n_term:] += t * step.reshape(-1, 2)
+            with contextlib.suppress(ValueError):  # an arc that cannot be shot
+                sh = arcs_from(nn, shot)
+                if np.linalg.norm(balance(nn, sh)) < np.linalg.norm(gvec):
                     break
             t *= 0.5
-        if not moved:
+        else:
             break
-    return nodes, {idx: shot[idx][0] for idx in shot}
+        nodes, shot = nn, sh
+    return nodes, shot

@@ -114,9 +114,28 @@ def test_plateau_on_disconnected_complex(tmp_path):
 
 
 def test_taylor_unbalanced_junction_is_exit_3(tmp_path):
-    res = run(["taylor", "--p", "3", "--angles=-60,10,50"], tmp_path)
+    res = run(["taylor", "--p", "3", "--angles=-46,0,46"], tmp_path)
     assert res.returncode == 3, res.stderr
     assert "unbalanced" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_taylor_without_geodesic_arcs_is_exit_3(tmp_path):
+    res = run(["taylor", "--p", "3", "--angles=-60,10,50"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "no geodesic" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_solve_network_rejects_terminals_outside_the_weights_domain(tmp_path):
+    terms = [{"point": [math.cos(a), math.sin(a)], "multiplicity": 1} for a in (0.3, 2.1, 4.4)]
+    (tmp_path / "terms.json").write_text(json.dumps({"terminals": terms}))
+    res = run(["solve-network", "--terminals", "terms.json", "--p", "3", "--weight", "x"],
+              tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "x > 1e-09" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
 
@@ -462,8 +481,11 @@ print(json.dumps({"file": modp.__file__, "modp": after_modp, "cli": solvers(),
                                 tmp_path)
     assert "modp.cones" in loaded
     assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
-    # a curved network finds its arcs' roots without scipy.optimize
-    loaded = _loaded_by_command(["solve-network", "--terminals", "terms.json", "--p", "3",
+    # a curved network finds its arcs' roots without scipy.optimize; its
+    # terminals lie in the weight's domain x > 0
+    terms = [{"point": [math.cos(a), math.sin(a)], "multiplicity": 1} for a in (-0.7, 0.0, 0.7)]
+    (tmp_path / "half-plane.json").write_text(json.dumps({"terminals": terms}))
+    loaded = _loaded_by_command(["solve-network", "--terminals", "half-plane.json", "--p", "3",
                                  "--weight", "x"], tmp_path)
     assert "modp.taylor" in loaded
     assert not any(m.startswith("scipy.optimize") for m in loaded)

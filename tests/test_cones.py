@@ -383,6 +383,54 @@ def test_curved_network_balances_or_ends_on_the_axis():
     assert max(net.balance_residuals.values(), default=0) <= cones.BALANCE_TOL
     assert net.mass <= 0.912231
 
+
+# the masses of the H below from the polish that balanced an arc leaving a
+# junction on its exact start angle, while the residual read its chord
+EXACT_START_ANGLE_H_MASSES = {"x": 10.293207930915, "sqrtx": 7.183513799926}
+
+
+@pytest.mark.parametrize("weight", ["x", "sqrtx"])
+def test_curved_junctions_balance_on_the_tangents_they_report(weight):
+    # two junctions joined by an arc: both ends of it are balanced on the
+    # chords that balance_residuals reads
+    terms = [((1.0, 0.3), 1), ((1.0, -0.3), 2), ((3.0, 0.3), -1), ((3.0, -0.3), -2)]
+    net = modp.solve_network(terms, 5, weight=modp.WeightedMetric(weight))
+    assert len(net.junctions) == 2
+    assert max(net.balance_residuals.values()) <= cones.BALANCE_TOL
+    assert net.mass <= EXACT_START_ANGLE_H_MASSES[weight]
+    assert all(len(arc.polyline) == 513 for arc in net.arcs)
+
+
+def test_curved_networks_have_only_geodesic_arcs():
+    # a tree with an arc that no geodesic of x > 0 joins is merged, and one
+    # without a junction to merge fails; no network falls back to straight
+    # two-point arcs
+    rng = np.random.default_rng(99)
+    failed = []
+    for k in range(60):
+        pts = np.c_[rng.uniform(0.3, 1.5, 3), rng.uniform(-0.8, 0.8, 3)]
+        weight = modp.WeightedMetric(("x", "sqrtx")[k % 2])
+        try:
+            net = modp.solve_network([(tuple(q), 1) for q in pts], 3, weight=weight)
+        except RuntimeError as err:
+            assert "no geodesic" in str(err)
+            failed.append(k)
+            continue
+        assert all(len(arc.polyline) == 513 for arc in net.arcs)
+    assert failed == [22, 54]
+
+
+def test_solve_network_rejects_terminals_outside_the_weights_domain():
+    terms = [((math.cos(a), math.sin(a)), 1) for a in (0.3, 2.1, 4.4)]
+    assert modp.solve_network(terms, 3).mass > 0
+    for weight in ("x", "sqrtx"):
+        with pytest.raises(ValueError, match=r"x > 1e-09"):
+            modp.solve_network(terms, 3, weight=modp.WeightedMetric(weight))
+        with pytest.raises(ValueError, match=r"x > 1e-09"):  # on the axis
+            modp.solve_network([((0.0, 0.0), 1), ((1.0, 0.0), 2)], 3,
+                               weight=modp.WeightedMetric(weight))
+
+
 def _euclidean_instances():
     """Seeded euclidean networks: n = 3..6 terminals in the unit disk with
     signed multiplicities 1..p-1 summing to 0 mod p, two per (n, p) for p in

@@ -159,6 +159,19 @@ def test_plateau_on_disconnected_complex(engine):
         solve(across, 3)
 
 
+@pytest.mark.parametrize("p, times", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_plateau_spans_a_curve_boundary(p, times):
+    # a closed curve mod p, the paper's m = 2 setting: the MILP spans the
+    # boundary of [-1, 1]^2 by the whole square, also 2 * boundary mod 3
+    cx, _ = fixtures.grid_square_complex(2)
+    square = cx.chain(2, {i: 1 for i in range(cx.n_simplices(2))})
+    b = modp.reduce_modp(times * modp.boundary(square), p)
+    sol = modp.plateau_modp(b, p)
+    assert sol.mass == pytest.approx(4.0, abs=1e-9)
+    assert sol.optimality_gap == 0.0
+    assert modp.reduce_modp(modp.boundary(sol.chain), p) == b
+
+
 def test_plateau_mixed_multiplicities():
     cx, info = fixtures.disk_mesh(0.2)
     t0, t1, t2 = info["terminals"]

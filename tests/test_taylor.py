@@ -278,9 +278,17 @@ def test_build_validation():
 
 
 def test_unbalanced_junction_is_an_error_not_a_circle():
+    # the polish stops with geodesic arcs that do not balance at the junction,
+    # and merging the junction into a terminal gives no lighter network
+    with pytest.raises(RuntimeError, match=r"junction 3 .* unbalanced: residual 0\.0475"):
+        modp.build_taylor_example(3, [-46.0, 0.0, 46.0])
+
+
+def test_terminals_that_no_geodesic_joins_are_a_solver_failure():
     # the junction-only start puts the junction at the min_x clamp on the
-    # axis, where the arcs do not balance (ROADMAP item 2's axis case)
-    with pytest.raises(RuntimeError, match=r"junction 3 .* unbalanced: residual 2\.18"):
+    # axis (ROADMAP item 4's axis case), where no geodesic of x > 0 reaches
+    # it, and no catenary joins the terminals at -60 and 50 degrees
+    with pytest.raises(RuntimeError, match="all topologies failed .* no geodesic"):
         modp.build_taylor_example(3, [-60.0, 10.0, 50.0])
 
 

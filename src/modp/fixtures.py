@@ -82,8 +82,10 @@ def _hex_mesh(h: float, keep):
 
     ``keep(I, J, points)`` maps arrays of lattice indices and their points
     to a boolean mask.  Vertices are numbered in C order of (i, j); each
-    vertex (i, j) opens at most two triangles, (i, j), (i+1, j), (i, j+1)
-    and (i+1, j), (i+1, j+1), (i, j+1), listed in that order.
+    lattice point (i, j) opens at most two triangles, (i, j), (i+1, j),
+    (i, j+1) and (i+1, j), (i+1, j+1), (i, j+1), listed in that order, each
+    where its three vertices are kept.  Every edge that a kept vertex opens
+    to (i+1, j), (i, j+1) or (i+1, j-1) is kept.
     """
     span = int(math.ceil(4.0 / h)) + 2
     I, J = np.meshgrid(np.arange(-span, span + 1), np.arange(-span, span + 1),
@@ -96,17 +98,19 @@ def _hex_mesh(h: float, keep):
     ids = np.full(mask.shape, -1, dtype=np.int64)
     ids[mask] = np.arange(mask.sum())
     kept = mask[:-1, :-1]
+    # the lattice points that can open a triangle: (i, j) or (i+1, j) is kept
+    near = kept | np.roll(mask, -1, axis=0)[:-1, :-1]
 
     def shifted(di, dj):
-        return np.roll(ids, (-di, -dj), axis=(0, 1))[:-1, :-1][kept]
+        return np.roll(ids, (-di, -dj), axis=(0, 1))[:-1, :-1][near]
 
     v, a, b, c, d = (shifted(di, dj) for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)))
-    ab = (a >= 0) & (b >= 0)
-    tris = np.stack([np.c_[v, a, b], np.c_[a, c, b]], axis=1)[np.c_[ab, ab & (c >= 0)]]
+    tris = np.stack([np.c_[v, a, b], np.c_[a, c, b]], axis=1)
+    tris = tris[(tris >= 0).all(axis=2)]
     pairs = np.concatenate([np.c_[v, a], np.c_[v, b], np.c_[v, d]])
     edges = np.unique(np.sort(pairs[(pairs >= 0).all(axis=1)], axis=1), axis=0)
     cx = SimplicialComplex(pts[kept], {1: edges, 2: tris})
-    return cx, dict(zip(zip(I[kept].tolist(), J[kept].tolist()), range(len(v))))
+    return cx, dict(zip(zip(I[kept].tolist(), J[kept].tolist()), range(int(kept.sum()))))
 
 
 def disk_mesh(h: float):

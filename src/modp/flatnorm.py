@@ -1,15 +1,17 @@
-"""Flat norms mod p and discrete Plateau problems as integer linear programs.
+"""Flat norms mod p and discrete Plateau problems as one integer program.
 
-Both problems are handed to HiGHS (scipy ``milp``) as mixed-integer programs
-through the one call in ``_solve_milp``, which scales to mesh-sized
-instances; Plateau problems with at most 8 boundary points use an exact
-Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
+Both problems minimize sum_j vol_j |x_j| subject to A x = rhs mod p: for a
+Plateau problem A is the boundary map and rhs the boundary data; for a flat
+norm A = [I | boundary], x = (R, Z) and rhs = T, which is
+T - R - boundary(Z) = 0 mod p.  ``_modp_program`` states that program once,
+with one box, and hands it to HiGHS (scipy ``milp``) through the one call in
+``_solve_milp``.  Plateau problems with at most 8 boundary points use an
+exact Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
 exhaustive reference for small complexes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -136,22 +138,16 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
                    time_limit: float = 120.0) -> FlatDecomposition:
     """Minimize mass(R)+mass(Z) over W subject to T = R + boundary(Z) + p*P.
 
-    Z ranges over integer (k+1)-chains, P over integer k-chains; R is
-    eliminated.  The mixed-integer program is solved by HiGHS with a zero
-    relative gap within ``time_limit`` seconds (>= 0, inf for none).  If the
-    time limit stops it with an incumbent, that incumbent is returned with
-    the unclosed gap in ``optimality_gap``; with no incumbent a
-    ``RuntimeError`` is raised.  A chain that vanishes mod p on W has value
-    0 with Z = 0 and P = T / p on W, and no program.
-
-    The variables are boxed without losing an optimum.  With P free, the
-    cost of a k-simplex e is vol_e * |t_e - (boundary Z)_e|_p, the distance
-    to the nearest multiple of p, which depends on Z only mod p; replacing
-    each z_f by its reduced representative keeps every such cost and does
-    not raise |z_f|.  So some optimum has |z_f| <= floor(p/2), and for it
-    the nearest P_e = round((t_e - (boundary Z)_e) / p) satisfies
-    |P_e| <= ceil((|t_e| + c_e * floor(p/2)) / p), where c_e is the number
-    of cofaces of e (outside W any P_e costs nothing; P_e = 0 there).
+    Z ranges over integer (k+1)-chains, P over integer k-chains.  The
+    program of ``_modp_program`` takes x = (R, Z) with A = [I | boundary]
+    and rhs = T, so that P = -y; R and Z are priced by volume in W and at 0
+    outside it.  Its box |R_e|, |z_f| <= floor(p/2) and its bound on P are
+    proved there once for both problems.  The program is solved by HiGHS
+    with a zero relative gap within ``time_limit`` seconds (>= 0, inf for
+    none).  If the time limit stops it with an incumbent, that incumbent is
+    returned with the unclosed gap in ``optimality_gap``; with no incumbent
+    a ``RuntimeError`` is raised.  A chain that vanishes mod p on W has
+    value 0 with Z = 0 and P = T / p on W, and no program.
 
     The program is localized to the chain (``_reach``).  Join two
     (k+1)-simplices when they share a k-face in W, and call a k-face of W
@@ -198,8 +194,6 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     t_dense = t.astype(float)
     B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
          else sparse.csr_matrix((npi, 0)))
-    half = p // 2
-    bpi = np.ceil((np.abs(t_dense) + np.diff(B.indptr) * half) / p)
     vol_z = cx.volumes[k + 1] if has_z else np.zeros(0)
     in_wz = np.zeros(nz, dtype=bool)
     if has_z:
@@ -210,8 +204,8 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     vmin = vol_z[in_wz].min() if in_wz.any() else math.inf
 
     def solve(cols, limit):
-        """The decomposition that solves the boxed program with z on
-        ``cols`` and 0 elsewhere."""
+        """The decomposition that solves the program with z on ``cols`` and
+        0 elsewhere, and R on the faces in W of those columns."""
         mask = np.zeros(nz)
         mask[cols] = 1.0
         rows = wr[join @ mask > 0]
@@ -219,11 +213,12 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
         pi = P.copy()
         nodes, gap = 0, 0.0
         if len(cols):
-            x, nodes, gap = _flat_program(B[rows][:, cols], t_dense[rows], bpi[rows],
-                                          vol_z[cols], in_wz[cols], cx.volumes[k][rows],
-                                          p, limit)
-            z[cols] = x[:len(cols)]
-            pi[rows] = x[len(cols):]
+            # T - R - boundary(Z) = 0 mod p, with x = (R, Z) and P = -y
+            A = sparse.hstack([sparse.eye(len(rows)), B[rows][:, cols]])
+            cost = np.concatenate([cx.volumes[k][rows], np.where(in_wz[cols], vol_z[cols], 0.0)])
+            x, y, nodes, gap = _modp_program(A, t_dense[rows], cost, p, limit)
+            z[cols] = x[len(rows):]
+            pi[rows] = -y
         zc = IntegerChain(cx, k + 1, z) if has_z else None
         pic = IntegerChain(cx, k, pi)
         val, R = _exact_value(T, zc, pic, p, W)
@@ -284,35 +279,6 @@ def _sealed(join, heavy, zero) -> np.ndarray:
     zero = zero.copy()
     zero[join[heavy & (cofaces == 1)].indices] = True
     return _reach(join[heavy & (cofaces == 2)], zero, np.zeros_like(zero), 0)
-
-
-def _flat_program(B, t, bpi, vol_z, in_wz, vol_r, p, time_limit):
-    """The boxed flat-norm program on the columns of B (z) and its rows
-    (pi): its integer solution (z, pi), nodes and gap."""
-    from scipy import sparse
-
-    nz, nr = B.shape[1], B.shape[0]
-    wz = np.flatnonzero(in_wz)
-    half = p // 2
-    # variables: z (nz), pi (nr), a_z (len(wz)), a_r (nr); constraints in
-    # +/- pairs: |z| <= a_z on wz, then |t - Bz - p*pi| <= a_r
-    nint = nz + nr
-    c_obj = np.concatenate([np.zeros(nint), vol_z[wz], vol_r])
-    pm = sparse.csr_matrix([[1.0], [-1.0]])
-    both = sparse.csr_matrix([[1.0], [1.0]])
-    A_ub = sparse.bmat([
-        [sparse.kron(sparse.eye(nz, format="csr")[wz], pm), None,
-         sparse.kron(-sparse.eye(len(wz)), both), None],
-        [sparse.kron(-B, pm), sparse.kron(-p * sparse.eye(nr, format="csr"), pm),
-         None, sparse.kron(-sparse.eye(nr), both)],
-    ], format="csr")
-    b_ub = np.concatenate([np.zeros(2 * len(wz)), np.kron(-t, [1.0, -1.0])])
-    n_aux = len(wz) + nr
-    lb = np.concatenate([np.full(nz, -half), -bpi, np.zeros(n_aux)])
-    ub = np.concatenate([np.full(nz, half), bpi, np.full(n_aux, np.inf)])
-    integrality = np.concatenate([np.ones(nint), np.zeros(n_aux)])
-    x, nodes, gap = _solve_milp(c_obj, A_ub, -np.inf, b_ub, lb, ub, integrality, time_limit)
-    return x[:nint].astype(np.int64), nodes, gap
 
 
 def flat_distance_modp(T: IntegerChain, S: IntegerChain, p: int, W: Region = None) -> float:
@@ -424,8 +390,8 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     """Mass-minimal integer k-chain whose boundary is congruent to b mod p.
 
     Point boundary data with at most 8 support points goes to the exact
-    Dreyfus-Wagner Steiner dynamic program; everything else to the
-    mixed-integer program of ``_plateau_milp``, whose solve stops after
+    Dreyfus-Wagner Steiner dynamic program; everything else to the integer
+    program of ``_modp_program`` (``_plateau_milp``), whose solve stops after
     ``time_limit`` seconds, which must be >= 0 whichever engine runs.
     """
     check_modulus(p)
@@ -444,42 +410,55 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
 
 
 def _plateau_milp(b: ModPClass, p: int, time_limit: float) -> PlateauSolution:
-    """Plateau problem as boundary(x) = b + p*y, solved by HiGHS.
+    """The Plateau problem as ``_modp_program`` with A the boundary map and
+    rhs = b.  When the time limit stops the solve early, the incumbent is
+    returned with the unclosed gap in ``optimality_gap``; with no incumbent
+    a ``RuntimeError`` is raised."""
+    cx = b.representative.complex
+    k = b.degree + 1
+    x, _, nodes, gap = _modp_program(cx.incidence[k], b.representative.vector.astype(float),
+                                     cx.volumes[k], p, time_limit)
+    return _plateau_solution(b, p, x, gap, nodes)
 
-    x is split into nonnegative parts bounded by floor(p/2) and y is a
-    bounded integer k-1 chain.  When the time limit stops branch-and-bound
-    early, the incumbent is returned with the unclosed gap in
-    ``optimality_gap``; with no incumbent a ``RuntimeError`` is raised.
+
+def _modp_program(A, rhs, cost, p: int, time_limit: float):
+    """Minimize sum_j cost_j |x_j| over integer x with A x = rhs mod p.
+
+    The one program of both problems, solved by HiGHS with ``_solve_milp``
+    as A (x+ - x-) - p y = rhs in integers, with 0 <= x+, x- <= floor(p/2)
+    and |y_e| <= ceil((|rhs_e| + floor(p/2) sum_j |A_ej|) / p).  Returns
+    (x, y, nodes, gap) with x = x+ - x- and A x - p y = rhs.
+
+    The box loses no optimum when cost >= 0.  Whether A x = rhs mod p
+    depends on x mod p alone, and the representative of x_j in (-p/2, p/2]
+    has the least |x_j| of its class; so some optimum has
+    |x_j| <= floor(p/2), split with x+_j x-_j = 0 at the same cost.  For
+    such x, p |y_e| = |(A x)_e - rhs_e| is at most
+    |rhs_e| + floor(p/2) sum_j |A_ej|, and y_e is an integer.
     """
     from scipy import sparse
 
-    cx = b.representative.complex
-    k = b.degree + 1
-    n = cx.n_simplices(k)
-    nb = cx.n_simplices(k - 1)
-    B = cx.incidence[k].astype(float)
-    b_dense = b.representative.vector.astype(float)
+    m, n = A.shape
     half = p // 2
-    vols = cx.volumes[k]
-
-    row_nnz = np.diff(B.tocsr().indptr)
-    y_bound = np.ceil((row_nnz * half + half) / p) + 1
-
-    # variables: x+ (n), x- (n), y (nb)
-    c_obj = np.concatenate([vols, vols, np.zeros(nb)])
-    A = sparse.hstack([B, -B, -p * sparse.eye(nb)]).tocsr()
+    y_bound = np.ceil((np.abs(rhs) + half * np.asarray(abs(A).sum(axis=1)).ravel()) / p)
+    c_obj = np.concatenate([cost, cost, np.zeros(m)])
+    A_eq = sparse.hstack([A, -A, -p * sparse.eye(m)]).tocsr()
     lb = np.concatenate([np.zeros(2 * n), -y_bound])
     ub = np.concatenate([np.full(2 * n, float(half)), y_bound])
-    x, nodes, gap = _solve_milp(c_obj, A, b_dense, b_dense, lb, ub,
-                                np.ones(2 * n + nb), time_limit)
-    return _plateau_solution(b, p, (x[:n] - x[n:2 * n]).astype(np.int64), gap, nodes)
+    x, nodes, gap = _solve_milp(c_obj, A_eq, rhs, rhs, lb, ub, np.ones(2 * n + m), time_limit)
+    x = x.astype(np.int64)
+    return x[:n] - x[n:2 * n], x[2 * n:], nodes, gap
 
 
 def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = None) -> float:
     """Exhaustive flat norm: minimum of mass(R)+mass(Z) over the boxed lattice.
 
-    Enumerates Z over [-bound, bound]^(top simplices); for each Z the optimal
-    P decouples per k-simplex (closest multiple of p, clamped to the box).
+    Enumerates Z over [-bound, bound]^(top simplices), one block of lattice
+    points per array step; for each Z the optimal P decouples per k-simplex
+    (closest multiple of p, clamped to the box).  The order of a block's
+    sums moves the last bits of a value, so each Z within a relative 1e-12
+    of the least value so far is evaluated again on its own, with the sums
+    in one fixed order; the minimum is taken over those.
     """
     cx = T.complex
     k = T.degree
@@ -491,7 +470,8 @@ def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = Non
         raise ValueError("complex too large for brute force")
 
     t_dense = T.vector.astype(float)
-    B = cx.incidence[k + 1].toarray().astype(float) if has_z else None
+    B = (cx.incidence[k + 1].toarray().astype(float) if has_z
+         else np.zeros((len(t_dense), 0)))
     vol_r = cx.volumes[k]
     vol_z = cx.volumes[k + 1] if has_z else None
     wr = set(_region_indices(W, cx, k).tolist())
@@ -499,16 +479,20 @@ def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = Non
     mask_r = np.array([i in wr for i in range(cx.n_simplices(k))])
     wvol_r = vol_r * mask_r
 
-    best = math.inf
-    rng = range(-bound, bound + 1)
-    for z in itertools.product(rng, repeat=nz):
-        zv = np.array(z, dtype=float)
-        rem = t_dense - (B @ zv if has_z else 0.0)
+    def value(z):
+        rem = t_dense - B @ z
         pi = np.clip(np.round(rem / p), -bound, bound)
-        resid = np.abs(rem - p * pi)
-        val = float(wvol_r @ resid)
-        if has_z:
-            val += sum(vol_z[i] * abs(z[i]) for i in wz)
-        if val < best:
-            best = val
+        return float(wvol_r @ np.abs(rem - p * pi)) + sum(vol_z[i] * abs(z[i]) for i in wz)
+
+    best = math.inf
+    base, block = 2 * bound + 1, 1 << 14
+    place = base ** np.arange(nz - 1, -1, -1)
+    for start in range(0, base ** nz, block):
+        z = (np.arange(start, min(start + block, base ** nz))[:, None] // place % base
+             - bound).astype(float)
+        rem = t_dense - z @ B.T
+        pi = np.clip(np.round(rem / p), -bound, bound)
+        val = np.abs(rem - p * pi) @ wvol_r + sum(vol_z[i] * np.abs(z[:, i]) for i in wz)
+        near = np.flatnonzero(val <= min(best, val.min()) * (1 + 1e-12))
+        best = min([best, *(value(z[j]) for j in near)])
     return best

@@ -112,6 +112,8 @@ class WeightedMetric:
             return 2 * r * r * (v1 - v0) + 2 * (v1 ** 3 - v0 ** 3) / 3
 
         target = abs(dy)
+        # each end of the s-bracket doubles until the rise there falls below
+        # the target; an end that doubled holds its crossing in its last step
         left = right = 8.0
         while rise(-left) >= target and left < _S_MAX:
             left = min(2 * left, _S_MAX)
@@ -124,9 +126,15 @@ class WeightedMetric:
             d = hi - lo
             length = float(np.hypot(*d))
         else:
-            roots = _level_crossings(rise, -left, right, target)
-            if roots is None:
+            brackets = [(-left, -left / 2)] if left > 8 else []
+            if min(left, right) == 8:
+                brackets.append((-8.0, 8.0))
+            if right > 8:
+                brackets.append((right / 2, right))
+            found = [_level_crossings(rise, *bracket, target) for bracket in brackets]
+            if None in found:
                 return None
+            roots = [root for part in found for root in part]
             s = min(roots, key=weighted_length)
             r, v0, v1 = ends(s)
             if cat:
@@ -181,33 +189,39 @@ def _invert_vertex_integral(target, r):
 def _level_crossings(f, lo, hi, level):
     """The points of [lo, hi] where the unimodal f meets ``level``, one on
     each side of its maximum where f at that end lies below the level; None
-    when the maximum stays below it.  Golden-section steps toward the
-    maximum stop where f first reaches the level, and the ends they discard
-    narrow both brackets; a bracketed Illinois regula falsi (Dowell and
-    Jarratt, BIT 11, 1971) shrinks each to two adjacent floats, or to a
-    point where f equals the level, and returns its end where f reaches it.
+    when the maximum stays below it.  An end where f reaches the level
+    bounds the other end's bracket.  Otherwise golden-section steps toward
+    the maximum stop where f first reaches the level, and the ends they
+    discard narrow both brackets.  A bracketed Illinois regula falsi
+    (Dowell and Jarratt, BIT 11, 1971) shrinks each bracket to two adjacent
+    floats, or to a point where f equals the level, and returns its end
+    where f reaches it.
     """
     g = (math.sqrt(5) - 1) / 2
     f_lo, f_hi = f(lo) - level, f(hi) - level
-    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = f(x1) - level, f(x2) - level
-    while f1 < 0 and f2 < 0:
-        if hi - lo < 1e-12:
-            return None
-        if f1 < f2:
-            lo, f_lo, x1, f1 = x1, f1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2) - level
-        else:
-            hi, f_hi, x2, f2 = x2, f2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1) - level
+    if f_lo >= 0 or f_hi >= 0:
+        top, f_top = (lo, f_lo) if f_lo >= 0 else (hi, f_hi)
+    else:
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = f(x1) - level, f(x2) - level
+        while f1 < 0 and f2 < 0:
+            if hi - lo < 1e-12:
+                return None
+            if f1 < f2:
+                lo, f_lo, x1, f1 = x1, f1, x2, f2
+                x2 = lo + g * (hi - lo)
+                f2 = f(x2) - level
+            else:
+                hi, f_hi, x2, f2 = x2, f2, x1, f1
+                x1 = hi - g * (hi - lo)
+                f1 = f(x1) - level
+        top, f_top = (x1, f1) if f1 >= 0 else (x2, f2)
     crossings = []
     for a, fa in ((lo, f_lo), (hi, f_hi)):
         if fa >= 0:
             continue
         # f(a) < level <= f(b); halve the value kept at an end that stays twice
-        b, fb, moved = (x1, f1, 0) if f1 >= 0 else (x2, f2, 0)
+        b, fb, moved = top, f_top, 0
         while fb != 0:
             x = b - fb * (b - a) / (fb - fa)
             if not min(a, b) < x < max(a, b):  # the secant rounds onto an end

@@ -312,16 +312,32 @@ def _json_digest(cx, volumes=False):
 # position, so the order of vertices and simplices must not change.
 @pytest.mark.parametrize("build,volumes,digest", [
     (lambda: fixtures.disk_mesh(0.1)[0], False,
-     "43813288778e718dc64c170673fbea470b996fd6c1493112c5c50dc20b1a3a22"),
+     "e9c294fefbe43538d21ebe567dfa33bf59d9446a054cbb1debda6322e375de96"),
     (lambda: fixtures.grid_square_complex(8)[0], False,
      "a3ad49ad2001bf089d74a0bd6444e7c474fbffbde59d0e0996f437aa3c76c403"),
     (lambda: fixtures.strip_complex(5), False,
      "cba1c198efe0f928a7b22cedd8d286275e97e0d85a1c31f28c2567a9344fd232"),
     (lambda: fixtures.half_plane_mesh(0.1, modp.WeightedMetric("x"))[0], True,
-     "7714ce41aa2b3385d2641b215e21ff28bf9ce9b4e43aa755323030d9ea91f829"),
+     "31052d7f1654a3524018be22ba55c9bbd43bf738f099fc94c238635daacc5af2"),
 ], ids=["disk_mesh", "grid_square", "strip", "half_plane"])
 def test_generated_meshes_are_pinned(build, volumes, digest):
     assert _json_digest(build(), volumes) == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fixtures.triangle_complex()[0],
+    lambda: fixtures.strip_complex(5),
+    lambda: fixtures.grid_square_complex(8)[0],
+    *(lambda h=h: fixtures.disk_mesh(h)[0] for h in (0.45, 0.25, 0.1, 0.05)),
+    *(lambda h=h: fixtures.half_plane_mesh(h, modp.WeightedMetric("x"))[0] for h in (0.1, 0.025)),
+], ids=["triangle", "strip", "grid_square", "disk_0.45", "disk_0.25", "disk_0.1", "disk_0.05",
+        "half_plane_0.1", "half_plane_0.025"])
+def test_generated_meshes_are_discs(build):
+    # each mesh fixture triangulates a disk, a box or a strip: every edge
+    # bounds a triangle, and the Euler characteristic is that of a disk
+    cx = build()
+    assert np.all(np.diff(cx.incidence[2].tocsr().indptr) > 0)
+    assert cx.n_simplices(0) - cx.n_simplices(1) + cx.n_simplices(2) == 1
 
 
 _INT64 = range(-2 ** 63, 2 ** 63)

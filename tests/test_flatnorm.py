@@ -361,17 +361,18 @@ def test_localized_program_keeps_the_value_of_the_full_program(monkeypatch):
     assert sum(d.columns < u.columns for d, u in zip(local[40:], unsealed, strict=True)) >= 10
 
 
-def test_second_program_reaches_the_middle_of_a_wide_filling():
-    # the optimal Z fills a square loop 3 cells wide; its middle lies beyond
-    # the loop's cofaces and their neighbours, where the first program ends
-    # (value 1.5), so only the second program, which the first value
+@pytest.mark.parametrize("width,p", [(w, p) for w in (3, 4) for p in (2, 3, 5)])
+def test_second_program_reaches_the_middle_of_a_wide_filling(width, p):
+    # the optimal Z fills a square loop 3 or 4 cells wide; its middle lies
+    # beyond the loop's cofaces and their neighbours, where the first
+    # program ends, so only the second program, which the first value
     # allows, finds the filling
     cx, spacing = fixtures.grid_square_complex(8)
-    corners = 1.5 * spacing * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1]])
+    corners = width / 2 * spacing * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1]])
     t = fixtures.rasterize_polyline(cx, spacing, corners)
-    dec = modp.flat_norm_modp(t, 3)
-    assert dec.value == pytest.approx(9 * spacing ** 2, abs=1e-12)
-    assert dec.R.is_zero() and modp.boundary(dec.Z) + 3 * dec.P == t
+    dec = modp.flat_norm_modp(t, p)
+    assert dec.value == pytest.approx((width * spacing) ** 2, abs=1e-12)  # 0.5625, 1.0
+    assert dec.R.is_zero() and modp.boundary(dec.Z) + p * dec.P == t
 
 
 def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):

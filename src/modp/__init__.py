@@ -22,7 +22,7 @@ _EXPORTS = {
                   "is_cycle_modp", "mass", "reduce_modp", "representative_modp"),
     "cones": ("EuclideanWeight", "NetworkArc", "RayConfiguration", "StructureReport",
               "WeightedNetwork", "barycenter_certificate", "check_structure",
-              "fermat_point_grid", "polyline_weighted_length", "segment_swap_certificate",
+              "fermat_point_grid", "segment_swap_certificate",
               "solve_network", "tree_multiplicities"),
     "flatnorm": ("FlatDecomposition", "PlateauSolution", "brute_force_flat_oracle",
                  "flat_distance_modp", "flat_norm_modp", "mass_in_region", "plateau_modp",

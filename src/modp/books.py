@@ -208,8 +208,8 @@ def dist_to_book(q, S: OpenBook) -> float:
 
 def excess(T: VarifoldSample, S: OpenBook, q, R: float) -> float:
     """Scale-normalized squared distance of the sample to the book in B_R(q)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be finite and greater than 0, got {R}")
     q = np.asarray(q, dtype=float)
     shifted = T.points - q
     inside = np.linalg.norm(shifted, axis=1) < R
@@ -329,8 +329,8 @@ def retract_to_book(q, S: OpenBook, rho: float) -> np.ndarray:
 
 def density_ratio(T: VarifoldSample, q, r: float) -> float:
     """Mass of the sample in B_r(q) divided by omega_m r^m."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be finite and greater than 0, got {r}")
     q = np.asarray(q, dtype=float)
     inside = np.linalg.norm(T.points - q, axis=1) < r
     return float(T.weights[inside].sum()) / (ball_volume(T.m) * r ** T.m)

@@ -156,6 +156,8 @@ def fermat_point_grid(points, weights, grid: float = 1e-4) -> tuple[np.ndarray, 
     final grid spacing (the objective is convex, so multilevel refinement is
     exact up to the final cell size).
     """
+    if not 0 < grid < math.inf:
+        raise ValueError(f"grid must be finite and greater than 0, got {grid}")
     pts = np.asarray(points, dtype=float)
     wts = np.asarray(weights, dtype=float)
 
@@ -291,17 +293,11 @@ class EuclideanWeight:
 def _resolve_weight(weight):
     if weight == "euclidean" or weight is None:
         return EuclideanWeight()
-    if hasattr(weight, "w") and hasattr(weight, "grad_w"):
+    if isinstance(weight, EuclideanWeight) or all(
+            hasattr(weight, attr) for attr in ("w", "grad_w", "two_point_geodesic")):
         return weight
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def polyline_weighted_length(poly: np.ndarray, metric) -> float:
-    """Midpoint-rule weighted length of a polyline."""
-    seg = np.diff(poly, axis=0)
-    lens = np.linalg.norm(seg, axis=1)
-    mids = 0.5 * (poly[:-1] + poly[1:])
-    return float(metric.w(mids) @ lens)
+    raise ValueError(f"unknown weight {weight!r}: a conformal weight needs w, grad_w "
+                     "and two_point_geodesic")
 
 
 def _full_topologies(n: int):
@@ -366,87 +362,6 @@ def tree_multiplicities(edges, n_nodes, terminal_mult, p):
     if any(need[v] % p for v in range(n_nodes) if not handed_on[v]):
         raise ValueError("multiplicities do not balance mod p")
     return kappa
-
-
-def _scalar_weight(metric):
-    """(x, y) -> (w, dw/dx, dw/dy) as Python floats, for the RK4 loop.
-
-    Uses the metric's own ``w_and_grad`` when it has one; any other weight
-    object is evaluated through its array ``w`` and ``grad_w``.
-    """
-    fn = getattr(metric, "w_and_grad", None)
-    if fn is not None:
-        return fn
-
-    def w_and_grad(x, y):
-        pt = np.array([[x, y]])
-        g = metric.grad_w(pt)[0]
-        return float(metric.w(pt)[0]), float(g[0]), float(g[1])
-
-    return w_and_grad
-
-
-def _rk4_shoot(start, theta, length, metric, steps):
-    """RK4 for pos' = tau, tau' = (grad w - (grad w . tau) tau) / w, with tau
-    renormalized after every step; returns the (steps + 1, 2) polyline."""
-    wg = _scalar_weight(metric)
-    x, y = float(start[0]), float(start[1])
-    tx, ty = math.cos(theta), math.sin(theta)
-    h = length / steps
-    hh = 0.5 * h
-    h6 = h / 6
-    pts = [(x, y)]
-    for _ in range(steps):
-        w, gx, gy = wg(x, y)
-        d = gx * tx + gy * ty
-        k1x, k1y = (gx - d * tx) / w, (gy - d * ty) / w
-        t2x, t2y = tx + hh * k1x, ty + hh * k1y
-        w, gx, gy = wg(x + hh * tx, y + hh * ty)
-        d = gx * t2x + gy * t2y
-        k2x, k2y = (gx - d * t2x) / w, (gy - d * t2y) / w
-        t3x, t3y = tx + hh * k2x, ty + hh * k2y
-        w, gx, gy = wg(x + hh * t2x, y + hh * t2y)
-        d = gx * t3x + gy * t3y
-        k3x, k3y = (gx - d * t3x) / w, (gy - d * t3y) / w
-        t4x, t4y = tx + h * k3x, ty + h * k3y
-        w, gx, gy = wg(x + h * t3x, y + h * t3y)
-        d = gx * t4x + gy * t4y
-        k4x, k4y = (gx - d * t4x) / w, (gy - d * t4y) / w
-        x = x + h6 * (tx + 2 * t2x + 2 * t3x + t4x)
-        y = y + h6 * (ty + 2 * t2y + 2 * t3y + t4y)
-        tx = tx + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        ty = ty + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        n = math.sqrt(tx * tx + ty * ty)
-        tx, ty = tx / n, ty / n
-        pts.append((x, y))
-    return np.array(pts)
-
-
-def _shoot_bvp(a, b, metric, theta0, length0, steps=512):
-    """Geodesic from a to b: (polyline of ``steps + 1`` points at equal
-    euclidean arc-length spacing, start angle, euclidean length), or None.
-
-    A metric with a ``two_point_geodesic`` method solves it in closed form;
-    the shipped weights ``WeightedMetric("x")`` and ``("sqrtx")`` do, with
-    catenaries and parabolas.  Any other weight object is shot with RK4 from
-    (``theta0``, ``length0``) and ``scipy.optimize.root``.
-    """
-    closed = getattr(metric, "two_point_geodesic", None)
-    if closed is not None:
-        return closed(a, b, theta0, steps)
-    from scipy.optimize import root
-
-    def miss(x):
-        theta, length = x
-        poly = _rk4_shoot(a, theta, max(length, 1e-9), metric, steps)
-        return poly[-1] - b
-
-    sol = root(miss, np.array([theta0, length0]), method="hybr", tol=1e-13)
-    theta, length = sol.x
-    poly = _rk4_shoot(a, theta, max(length, 1e-9), metric, steps)
-    if np.linalg.norm(poly[-1] - b) > 1e-8:
-        return None
-    return poly, float(theta), float(length)
 
 
 class _TopologyProblem:
@@ -717,14 +632,20 @@ def solve_network(terminals, p: int, weight="euclidean",
     counts in ``skipped_topologies`` and in ``failed_starts``.  In ascending
     order of mass, ties to the first topology, a candidate's merged arcs
     are contracted (``_contract``), and under a conformal weight its arcs
-    become two-point geodesics (``_shoot_bvp``: closed-form catenaries and
-    parabolas under the shipped weights, RK4 shooting under any other) with
-    its junctions re-balanced on the chords of the arcs' end steps
-    (``_shooting_polish``).  The first candidate that raises no ValueError
-    or FloatingPointError is returned; each one that does counts in
-    ``failed_starts``, and with none left RuntimeError is raised, naming
-    the last error.  Under a weight with ``min_x``, a terminal with
-    x <= ``min_x`` raises ValueError before any solve.
+    become the weight's two-point geodesics with its junctions re-balanced
+    on the chords of the arcs' end steps (``_shooting_polish``).  The first
+    candidate that raises no ValueError or FloatingPointError is returned;
+    each one that does counts in ``failed_starts``, and with none left
+    RuntimeError is raised, naming the last error.
+
+    weight: "euclidean" (or None, or an ``EuclideanWeight``), where each arc
+    is a segment and its ``length`` the segment's length; or a conformal
+    weight with ``w``, ``grad_w`` and ``two_point_geodesic(a, b, theta0,
+    steps)``, which returns (polyline, start angle, euclidean length,
+    weighted length) or None, as ``WeightedMetric`` does in closed form.
+    Each arc's ``length`` is that weighted length.  Any other weight raises
+    ValueError, as does, under a weight with ``min_x``, a terminal with
+    x <= ``min_x``, before any solve.
     ``k_interior`` is deprecated and ignored: any value but None warns.
     """
     if k_interior is not None:
@@ -791,17 +712,19 @@ def _network(prob, x, mult, p) -> WeightedNetwork:
     not raise ValueError and is not heavier."""
     prob, x = _contract(prob, x)
     nodes = prob.nodes(x)
-    polys = {idx: nodes[list(prob.edges[idx])] for idx in prob.live}
     if prob.curved:
         try:
-            nodes, polys = _shooting_polish(prob, nodes, polys)
+            nodes, arcs = _shooting_polish(prob, nodes)
         except ValueError:
             if prob.n_junc == 0:
                 raise
             return _merged_network(prob, nodes, range(prob.n_term, prob.n_nodes), mult, p)
+    else:
+        lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
+        arcs = {idx: (nodes[list(prob.edges[idx])], float(length))
+                for idx, length in zip(prob.live, lengths)}
     net = WeightedNetwork(nodes, mult,
-                          [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), polys[idx],
-                                      polyline_weighted_length(polys[idx], prob.metric))
+                          [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), *arcs[idx])
                            for idx in prob.live],
                           getattr(prob.metric, "name", "conformal"), p)
     unbalanced = [j for j, r in net.balance_residuals.items()
@@ -825,40 +748,38 @@ def _merged_network(prob, nodes, juncs, mult, p) -> WeightedNetwork:
     return _network(*_merged(prob, nodes[prob.n_term:].ravel(), *prob.pairs[i])[:2], mult, p)
 
 
-def _shooting_polish(prob, nodes, polys):
+def _shooting_polish(prob, nodes):
     """Geodesic arcs for a solved tree under a conformal weight: (nodes,
-    {arc: polyline}).  The arcs become two-point geodesics (``_shoot_bvp``),
-    and Newton steps on a finite-difference Hessian, with a line search,
-    balance the junctions on the rule of ``junction_tangents``.  Raises
-    ValueError when an arc cannot be shot at the start; later it stops where
-    it is when an arc cannot be shot, the Hessian is singular or no step
-    lowers the imbalance, and the caller judges the residual."""
+    {arc: (polyline, weighted length)}).  The arcs become the weight's
+    two-point geodesics (``two_point_geodesic``), and Newton steps on a
+    finite-difference Hessian, with a line search, balance the junctions on
+    the rule of ``junction_tangents``.  Raises ValueError when an arc cannot
+    be shot at the start; later it stops where it is when an arc cannot be
+    shot, the Hessian is singular or no step lowers the imbalance, and the
+    caller judges the residual."""
     metric = prob.metric
     juncs = range(prob.n_term, prob.n_nodes)
 
-    def arcs_from(nodes_now, init_polys):
+    def arcs_from(nodes_now):
         shot = {}
         for idx in prob.live:
             a, b = prob.edges[idx]
-            poly = init_polys[idx]
-            d0 = poly[1] - poly[0]
-            theta0 = math.atan2(d0[1], d0[0])
-            L0 = float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
-            res = _shoot_bvp(nodes_now[a], nodes_now[b], metric, theta0, L0)
+            # the start angle (theta0 picks its branch) is not used here
+            res = metric.two_point_geodesic(nodes_now[a], nodes_now[b], 0.0, 512)
             if res is None:
                 ends = [nodes_now[v].round(6).tolist() for v in (a, b)]
                 raise ValueError(f"no geodesic under the weight joins {ends[0]} and {ends[1]}")
-            shot[idx] = res[0]
+            shot[idx] = (res[0], res[3])
         return shot
 
     def balance(nodes_now, shot):
         """The mass's gradient in the junctions: -sum |kappa| w tau."""
-        arcs = [(*prob.edges[idx], prob.kappa[idx], shot[idx]) for idx in prob.live]
+        arcs = [(*prob.edges[idx], prob.kappa[idx], shot[idx][0]) for idx in prob.live]
         return np.ravel([-sum((k * wj * tau for k, tau in _end_tangents(j, arcs)), np.zeros(2))
                          for j, wj in zip(juncs, metric.w(nodes_now[prob.n_term:]))])
 
     nodes = nodes.copy()
-    shot = arcs_from(nodes, polys)
+    shot = arcs_from(nodes)
     for _ in range(60):
         gvec = balance(nodes, shot)
         if np.linalg.norm(gvec) < 1e-11:
@@ -869,7 +790,7 @@ def _shooting_polish(prob, nodes, polys):
             for col in range(gvec.size):
                 nn = nodes.copy()
                 nn[juncs[col // 2], col % 2] += 1e-6
-                H[:, col] = (balance(nn, arcs_from(nn, shot)) - gvec) / 1e-6
+                H[:, col] = (balance(nn, arcs_from(nn)) - gvec) / 1e-6
             step = np.linalg.solve(0.5 * (H + H.T), -gvec)
         except ValueError:  # an arc that cannot be shot, or a singular Hessian
             break
@@ -878,7 +799,7 @@ def _shooting_polish(prob, nodes, polys):
             nn = nodes.copy()
             nn[prob.n_term:] += t * step.reshape(-1, 2)
             with contextlib.suppress(ValueError):  # an arc that cannot be shot
-                sh = arcs_from(nn, shot)
+                sh = arcs_from(nn)
                 if np.linalg.norm(balance(nn, sh)) < np.linalg.norm(gvec):
                     break
             t *= 0.5

@@ -43,8 +43,8 @@ class MonotonicityReport:
 def density_profile(T: VarifoldSample, q, radii) -> list:
     """Density ratio Theta(q, r) along an increasing radius grid."""
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and increasing")
+    if not all(0 < r < math.inf for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be finite, greater than 0 and increasing")
     return [density_ratio(T, q, r) for r in radii]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .books import OpenBook, VarifoldSample, excess
-from .cones import BALANCE_TOL, WeightedNetwork, _rk4_shoot, solve_network
+from .cones import BALANCE_TOL, WeightedNetwork, solve_network
 
 __all__ = [
     "WeightedMetric",
@@ -66,11 +66,11 @@ class WeightedMetric:
         return r, 0.5 / r, 0.0
 
     def two_point_geodesic(self, a, b, theta0: float, steps: int):
-        """The geodesic from a to b in closed form, as ``cones._shoot_bvp``
-        returns it: (polyline of ``steps + 1`` points at equal euclidean
+        """The geodesic from a to b in closed form, as ``solve_network``
+        takes it: (polyline of ``steps + 1`` points at equal euclidean
         arc-length spacing, start angle taken within pi of ``theta0``,
-        euclidean length), or None when no geodesic of {x >= min_x} joins
-        them.
+        euclidean length, weighted length), or None when no geodesic of
+        {x >= min_x} joins them.
 
         Along a geodesic w * tau_y = c (Clairaut).  With r = |c| and v the
         signed offset from the arc's vertex, the geodesics are the catenaries
@@ -82,7 +82,10 @@ class WeightedMetric:
         end and s > 0 passes the vertex first.  The rise |dy| of the arc is
         zero at both ends of the s-line and has one maximum between, so
         it takes a given rise at most twice; of those arcs the one of least
-        weighted length is returned.  c = 0 is the horizontal segment.
+        weighted length is returned.  c = 0 is the horizontal segment, whose
+        weighted length per unit length is the mean of w over it:
+        (x_lo + x_hi) / 2 under w = x and (2/3) (X_lo^2 + X_lo X_hi + X_hi^2)
+        / (X_lo + X_hi) under w = sqrt(x).
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -125,6 +128,9 @@ class WeightedMetric:
             poly = lo + n * (hi - lo)
             d = hi - lo
             length = float(np.hypot(*d))
+            mean_w = 0.5 * (X_lo + X_hi) if cat else \
+                (2 / 3) * (X_lo * X_lo + X_lo * X_hi + X_hi * X_hi) / (X_lo + X_hi)
+            w_length = length * mean_w
         else:
             brackets = [(-left, -left / 2)] if left > 8 else []
             if min(left, right) == 8:
@@ -136,6 +142,7 @@ class WeightedMetric:
                 return None
             roots = [root for part in found for root in part]
             s = min(roots, key=weighted_length)
+            w_length = weighted_length(s)
             r, v0, v1 = ends(s)
             if cat:
                 v = np.linspace(v0, v1, steps + 1)
@@ -157,7 +164,7 @@ class WeightedMetric:
         if flip:
             poly, d = poly[::-1].copy(), -d
         theta = theta0 + math.remainder(math.atan2(d[1], d[0]) - theta0, 2 * math.pi)
-        return poly, theta, float(length)
+        return poly, theta, float(length), float(w_length)
 
 
 # |s| bound of the closed-form arcs: sech(600) > 1e-261, so r and r^2 stay
@@ -235,6 +242,42 @@ def _level_crossings(f, lo, hi, level):
                 b, fb, fa, moved = x, fx, fa / 2 if moved > 0 else fa, 1
         crossings.append(b)
     return crossings
+
+
+def _rk4_shoot(start, theta, length, metric, steps):
+    """RK4 for pos' = tau, tau' = (grad w - (grad w . tau) tau) / w, with tau
+    renormalized after every step; returns the (steps + 1, 2) polyline."""
+    wg = metric.w_and_grad
+    x, y = float(start[0]), float(start[1])
+    tx, ty = math.cos(theta), math.sin(theta)
+    h = length / steps
+    hh = 0.5 * h
+    h6 = h / 6
+    pts = [(x, y)]
+    for _ in range(steps):
+        w, gx, gy = wg(x, y)
+        d = gx * tx + gy * ty
+        k1x, k1y = (gx - d * tx) / w, (gy - d * ty) / w
+        t2x, t2y = tx + hh * k1x, ty + hh * k1y
+        w, gx, gy = wg(x + hh * tx, y + hh * ty)
+        d = gx * t2x + gy * t2y
+        k2x, k2y = (gx - d * t2x) / w, (gy - d * t2y) / w
+        t3x, t3y = tx + hh * k2x, ty + hh * k2y
+        w, gx, gy = wg(x + hh * t2x, y + hh * t2y)
+        d = gx * t3x + gy * t3y
+        k3x, k3y = (gx - d * t3x) / w, (gy - d * t3y) / w
+        t4x, t4y = tx + h * k3x, ty + h * k3y
+        w, gx, gy = wg(x + h * t3x, y + h * t3y)
+        d = gx * t4x + gy * t4y
+        k4x, k4y = (gx - d * t4x) / w, (gy - d * t4y) / w
+        x = x + h6 * (tx + 2 * t2x + 2 * t3x + t4x)
+        y = y + h6 * (ty + 2 * t2y + 2 * t3y + t4y)
+        tx = tx + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        ty = ty + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        n = math.sqrt(tx * tx + ty * ty)
+        tx, ty = tx / n, ty / n
+        pts.append((x, y))
+    return np.array(pts)
 
 
 def geodesic_shoot(start, direction, length: float, metric: WeightedMetric,
@@ -338,8 +381,11 @@ def _revolve_sample(net: WeightedNetwork, delta: float) -> VarifoldSample:
     points at the centres of n equal angular cells.  Each point has weight
     |kappa| * 2 pi x * (segment length) / n and the frame (segment tangent
     turned by its angle, circle direction).  Rings follow arcs and segments
-    in order, and points within a ring follow the angle.
+    in order, and points within a ring follow the angle.  ``delta`` must be
+    finite and greater than 0 (ValueError).
     """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and greater than 0, got {delta}")
     pts, wts, frames = [], [], []
     for arc in net.arcs:
         if arc.kappa == 0:

@@ -162,8 +162,8 @@ def whitney_domain(excess_fn, tau: float, decomposition: WhitneyDecomposition) -
     Q' at or above Q.  Membership is decided per column (it does not depend
     on the row) and memoized down the layers; the oracle is called once per
     column, and its values are kept as ``column_excess``."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and greater than 0, got {tau}")
     dec = decomposition
     tau2 = tau * tau
     members: set = set()

@@ -245,6 +245,15 @@ def test_density_ratio_of_plane_is_one():
     assert modp.density_ratio(s, [0.0, 0.0, 0.0], 1.0) == pytest.approx(1.0, abs=0.03)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.5, math.nan, math.inf])
+def test_density_and_excess_reject_a_bad_radius(y_cone, r):
+    s = modp.sample_cone(y_cone, 1.0, 0.05)
+    with pytest.raises(ValueError, match="finite and greater than 0"):
+        modp.density_ratio(s, [0.0, 0.0], r)
+    with pytest.raises(ValueError, match="finite and greater than 0"):
+        modp.excess(s, y_cone.book, [0.0, 0.0], r)
+
+
 def test_y_cone_density_is_three_halves(y_cone):
     s = modp.sample_cone(y_cone, 1.0, 0.01)
     assert modp.density_ratio(s, [0.0, 0.0], 0.5) == pytest.approx(1.5, abs=0.03)

@@ -224,6 +224,36 @@ def test_density_and_monotonicity_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_radii_and_tau_must_be_finite_and_positive(tmp_path, value):
+    pages = [{"dir": [math.cos(a), math.sin(a)], "kappa": 1}
+             for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    book = {"m": 2, "n": 1, "spine": [[0.0, 0.0, 1.0]],
+            "slice": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "pages": pages}
+    sample = {"m": 2, "points": [[1.0, 0.0, 0.0]], "weights": [1.0], "delta": 0.1}
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    (tmp_path / "sample.json").write_text(json.dumps(sample))
+    at = ["--sample", "sample.json", "--center", "0,0,0"]
+    for args in (["density", *at, f"--radius={value}"],
+                 ["excess", *at, "--book", "book.json", f"--radius={value}"],
+                 ["monotonicity", *at, f"--radii=0.25,{value}", "--csv", "prof.csv"],
+                 ["whitney", "--m", "2", "--M", "1", "--depth", "2", f"--tau={value}",
+                  "--csv", "cubes.csv"]):
+        res = run(args, tmp_path)
+        assert res.returncode == 2, (args, res.stdout, res.stderr)
+        assert "finite" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+    assert not (tmp_path / "prof.csv").exists() and not (tmp_path / "cubes.csv").exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.1"])
+def test_taylor_rejects_a_bad_sample_spacing(tmp_path, delta):
+    res = run(["taylor", "--p", "3", "--angles=-40,0,40", f"--delta={delta}"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "delta" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_whitney_csv(tmp_path):
     res = run(["whitney", "--m", "2", "--M", "1", "--depth", "3",
                "--tau", "0.5", "--csv", "cubes.csv"], tmp_path)

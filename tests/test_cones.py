@@ -110,6 +110,12 @@ def test_barycenter_needs_enough_mass():
         modp.barycenter_certificate(cfg, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [0.0, -1.0, math.nan, math.inf])
+def test_fermat_point_grid_rejects_a_bad_grid(grid):
+    with pytest.raises(ValueError, match="grid"):
+        modp.fermat_point_grid([q for q, _ in EQUILATERAL], np.ones(3), grid=grid)
+
+
 def test_fermat_point_of_equilateral_is_center():
     pts = np.array([[math.cos(a), math.sin(a)]
                     for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3,
@@ -164,10 +170,22 @@ def test_solve_network_matches_fermat_point_on_random_triangles():
         assert all(r < 1e-6 for r in net.balance_residuals.values())
 
 
+def _straight_geodesic(weight, a, b, theta0, steps):
+    """``two_point_geodesic`` of a weight that is 1 wherever it is defined:
+    the segment from a to b, its length, and a weighted length that
+    evaluates ``weight.w`` on the segment's ``steps + 1`` points."""
+    d = b - a
+    theta = theta0 + math.remainder(math.atan2(d[1], d[0]) - theta0, 2 * math.pi)
+    poly = a + np.linspace(0.0, 1.0, steps + 1)[:, None] * d
+    length = float(np.hypot(*d))
+    return poly, theta, length, length * float(weight.w(poly).mean())
+
+
 class _UndefinedNearOrigin:
     """Unit weight that raises FloatingPointError within 0.2 of the origin."""
 
     name = "undefined-near-origin"
+    two_point_geodesic = _straight_geodesic
 
     def w(self, pts):
         pts = np.atleast_2d(pts)
@@ -277,10 +295,12 @@ def _balanced_star(kappa, p, rng):
 class _StraightUnitWeight:
     """Unit weight with straight closed-form geodesics, like the euclidean
     one but polished as a conformal weight; ``w`` raises FloatingPointError
-    on the 512-step polyline of an arc that comes within ``band`` of the
-    x-axis, that is, only on the final arc lengths."""
+    on the 513 points of an arc that comes within ``band`` of the x-axis,
+    that is, only where ``two_point_geodesic`` takes an arc's weighted
+    length."""
 
     name = "straight"
+    two_point_geodesic = _straight_geodesic
 
     def __init__(self, band):
         self.band = band
@@ -293,11 +313,6 @@ class _StraightUnitWeight:
 
     def grad_w(self, pts):
         return np.zeros_like(np.atleast_2d(pts))
-
-    def two_point_geodesic(self, a, b, theta0, steps):
-        d = b - a
-        theta = theta0 + math.remainder(math.atan2(d[1], d[0]) - theta0, 2 * math.pi)
-        return a + np.linspace(0.0, 1.0, steps + 1)[:, None] * d, theta, float(np.hypot(*d))
 
 
 def test_solve_network_takes_the_next_candidate_when_one_raises():
@@ -346,23 +361,24 @@ POLYLINE_START_MASSES = [
 
 
 # the masses of _curved_instances from the solver that started each topology
-# three times, from the centroid and from two seeded jitters of it
+# three times, from the centroid and from two seeded jitters of it, with each
+# arc's exact weighted length (a 512-step midpoint sum read 1.4e-9 to 2.4e-7
+# higher)
 THREE_START_MASSES = [
-    1.2310704517584998, 0.22625339195912814, 0.9539720261455156, 0.8149488495738875,
-    1.4059640197530046, 1.8353214112667966, 1.849285492546418, 0.710671863495729,
-    2.1348037996385454, 1.2487752320013064, 0.8201787059074547, 0.5599529168172324,
-    0.824404489388656, 0.8980934316989728, 0.980198207201096, 0.9562545523927904,
-    1.5175947311097318, 1.8779752345126166, 1.8489782579037097, 1.5934791074002863,
-    2.0172600553632423, 0.9107401588160424, 1.335145517273386, 1.1966681992688895]
+    1.2310701520337046, 0.22625339163969777, 0.9539720037742555, 0.8149488315471345,
+    1.4059639976302045, 1.8353213997487876, 1.849285486568496, 0.7106718615561902,
+    2.1348037279564016, 1.2487751663501632, 0.8201786865660522, 0.5599529016624819,
+    0.8244044873109821, 0.8980934133903374, 0.9801981697748433, 0.9562545449400159,
+    1.5175946874569708, 1.877975214387284, 1.84897820608808, 1.5934789839561798,
+    2.01725999091588, 0.9107401309853229, 1.335145493293119, 1.1966681847343297]
 
 
 def test_junction_only_start_loses_no_mass_on_curved_networks():
     for (weight, p, terms), old, last in zip(_curved_instances(), POLYLINE_START_MASSES,
                                              THREE_START_MASSES, strict=True):
         net = modp.solve_network(terms, p, weight=modp.WeightedMetric(weight))
-        # the mass sums 512 midpoint steps per arc; against 20000 steps of the
-        # same arcs it reads 2e-9 to 8e-8 high, by network, so a smaller excess
-        # is quadrature and not a lost minimum
+        # the old masses summed 512 midpoint steps per arc, which read up to
+        # 8e-8 high, so a smaller excess is quadrature and not a lost minimum
         assert net.mass <= old * (1 + 1e-7)
         assert net.mass == pytest.approx(last, rel=1e-12, abs=0)
         live = [v for arc in net.arcs if arc.kappa for v in (arc.a, arc.b)]
@@ -532,16 +548,60 @@ def test_collinear_terminals_have_no_junction():
 
 def test_weighted_lengths_closed_forms():
     a, b, c, L = 0.25, 1.0, 0.7, 0.9
-    radial = np.c_[np.linspace(a, b, 2001), np.zeros(2001)]
     vertical = np.c_[np.full(2001, c), np.linspace(0.0, L, 2001)]
     w_x = modp.WeightedMetric("x")
     w_s = modp.WeightedMetric("sqrtx")
-    assert modp.polyline_weighted_length(radial, w_x) == \
-        pytest.approx((b ** 2 - a ** 2) / 2.0, rel=1e-6)
-    assert modp.polyline_weighted_length(radial, w_s) == \
-        pytest.approx((2.0 / 3.0) * (b ** 1.5 - a ** 1.5), rel=1e-6)
-    assert modp.polyline_weighted_length(vertical, w_x) == \
-        pytest.approx(c * L, rel=1e-9)
+    radial = [np.array([a, 0.0]), np.array([b, 0.0]), 0.0, 512]
+    assert w_x.two_point_geodesic(*radial)[3] == pytest.approx((b ** 2 - a ** 2) / 2.0, rel=1e-15)
+    assert w_s.two_point_geodesic(*radial)[3] == \
+        pytest.approx((2.0 / 3.0) * (b ** 1.5 - a ** 1.5), rel=1e-15)
+    assert modp.weighted_length(vertical, w_x) == pytest.approx(c * L, rel=1e-9)
+
+
+def _simpson_length(metric, a, b, steps=4096):
+    """Composite Simpson of w along the closed-form geodesic from a to b, whose
+    ``steps + 1`` points lie at equal euclidean arc-length spacing."""
+    poly, _, length, _ = metric.two_point_geodesic(a, b, 0.0, steps)
+    f = metric.w(poly)
+    return length / (3 * steps) * (f[0] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum() + f[-1])
+
+
+def test_curved_arc_lengths_are_the_integrals_of_their_closed_forms():
+    taylor = [((math.cos(math.radians(a)), math.sin(math.radians(a))), 1)
+              for a in (-40.0, 0.0, 40.0)]
+    cases = [*_curved_instances(), ("x", 3, taylor), ("sqrtx", 3, taylor)]
+    for weight, p, terms in cases:
+        metric = modp.WeightedMetric(weight)
+        net = modp.solve_network(terms, p, weight=metric)
+        for arc in net.arcs:
+            reference = _simpson_length(metric, net.nodes[arc.a], net.nodes[arc.b])
+            assert arc.length == pytest.approx(reference, rel=1e-11, abs=0)
+    # the horizontal branch, both ways round
+    for weight in ("x", "sqrtx"):
+        metric = modp.WeightedMetric(weight)
+        for a, b in (((0.5, 0.25), (1.5, 0.25)), ((1.5, -0.3), (0.2, -0.3))):
+            a, b = np.array(a), np.array(b)
+            poly, _, _, w_length = metric.two_point_geodesic(a, b, 0.0, 512)
+            assert np.all(poly[:, 1] == a[1])
+            assert w_length == pytest.approx(_simpson_length(metric, a, b), rel=1e-11, abs=0)
+
+
+def test_solve_network_needs_a_geodesic_of_a_conformal_weight():
+    class ArrayOnly:
+        """A unit weight with w and grad_w and no two_point_geodesic."""
+
+        def w(self, pts):
+            return np.ones(len(np.atleast_2d(pts)))
+
+        def grad_w(self, pts):
+            return np.zeros_like(np.atleast_2d(pts))
+
+    with pytest.raises(ValueError, match="two_point_geodesic"):
+        modp.solve_network(EQUILATERAL, 3, weight=ArrayOnly())
+    with pytest.raises(ValueError, match="unknown weight"):
+        modp.solve_network(EQUILATERAL, 3, weight="x")
+    assert modp.solve_network(EQUILATERAL, 3, weight=cones.EuclideanWeight()).to_json() == \
+        modp.solve_network(EQUILATERAL, 3).to_json()
 
 
 def test_network_json_round_trip():
@@ -565,7 +625,9 @@ def test_full_topologies_are_distinct_and_counted():
 
 
 class _NamelessUnitWeight:
-    """A weight object with ``w`` and ``grad_w`` only."""
+    """A weight object with ``w``, ``grad_w`` and ``two_point_geodesic`` only."""
+
+    two_point_geodesic = _straight_geodesic
 
     def w(self, pts):
         return np.ones(len(np.atleast_2d(pts)))

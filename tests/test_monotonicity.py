@@ -22,6 +22,9 @@ def test_density_profile_requires_increasing_radii(y_cone):
     s = modp.sample_cone(y_cone, 1.0, 0.05)
     with pytest.raises(ValueError):
         modp.density_profile(s, [0.0, 0.0], [0.4, 0.2])
+    for radii in ([0.2, math.nan], [math.nan], [0.2, math.inf], [0.0, 0.2]):
+        with pytest.raises(ValueError, match="finite"):
+            modp.density_profile(s, [0.0, 0.0], radii)
 
 
 def test_plane_through_origin_has_no_perp_part():

@@ -64,37 +64,11 @@ def test_geodesic_shoot_follows_exact_geodesic(weight, curve):
     assert np.abs(arc[:, 0] - curve(arc[:, 1])).max() < 1e-9
 
 
-class ArrayOnly:
-    """A user weight with only the array interface w / grad_w of a shipped
-    weight: no ``w_and_grad`` and no ``two_point_geodesic``, so its
-    two-point geodesics are shot with RK4."""
-    name = "user"
-    min_x = 1e-9
-
-    def __init__(self, weight):
-        self.inner = modp.WeightedMetric(weight)
-
-    def w(self, pts):
-        return self.inner.w(pts)
-
-    def grad_w(self, pts):
-        return self.inner.grad_w(pts)
-
-
-def test_array_only_weight_shoots_like_its_closed_form():
-    args = ([1.0, 0.0], [0.3, 1.0], 0.5)
-    user, _ = modp.geodesic_shoot(*args, ArrayOnly("sqrtx"), steps=256)
-    closed, _ = modp.geodesic_shoot(*args, modp.WeightedMetric("sqrtx"), steps=256)
-    np.testing.assert_allclose(user, closed, rtol=0, atol=1e-14)
-
-
 @pytest.mark.xfail(strict=True, reason="the shooting polish balances the chord "
                    "of the last RK4 step at the junction, not the arc's true "
                    "tangent; the exact exit angles of the outer arcs sit 120.039 "
                    "degrees from the middle one, a residual of about 1.2e-3")
 def test_junction_balances_exact_arc_tangents(taylor_p3):
-    from modp.cones import _shoot_bvp
-
     net = taylor_p3.generator
     j = net.junctions[0]
     resid = np.zeros(2)
@@ -104,9 +78,8 @@ def test_junction_balances_exact_arc_tangents(taylor_p3):
         a = net.nodes[j]
         b = net.nodes[arc.b if arc.a == j else arc.a]
         chord = b - a
-        _, theta, _ = _shoot_bvp(a, b, taylor_p3.metric,
-                                 math.atan2(chord[1], chord[0]),
-                                 float(np.linalg.norm(chord)))
+        _, theta, _, _ = taylor_p3.metric.two_point_geodesic(
+            a, b, math.atan2(chord[1], chord[0]), 512)
         resid += abs(arc.kappa) * np.array([math.cos(theta), math.sin(theta)])
     assert np.linalg.norm(resid) < 1e-5
 
@@ -139,31 +112,35 @@ TWO_POINT_CASES = [
 ]
 
 
+def _shoot(a, theta, length, metric, steps=512):
+    """The geodesic ODE integrated forward from a by ``steps`` RK4 steps
+    (``geodesic_shoot``): an independent reference for the closed-form arcs."""
+    poly, info = modp.geodesic_shoot(a, [math.cos(theta), math.sin(theta)], length, metric,
+                                     steps=steps)
+    assert not info["axis_hit"]
+    return poly
+
+
 @pytest.mark.parametrize("weight, a, b", TWO_POINT_CASES)
 def test_closed_form_geodesic_matches_rk4_shooting(weight, a, b):
-    from modp.cones import _shoot_bvp
-
     a, b = np.array(a), np.array(b)
     chord = b - a
-    hint = (math.atan2(chord[1], chord[0]), float(np.linalg.norm(chord)))
-    closed = _shoot_bvp(a, b, modp.WeightedMetric(weight), *hint)
-    shot = _shoot_bvp(a, b, ArrayOnly(weight), *hint)
-    poly, theta, length = closed
+    metric = modp.WeightedMetric(weight)
+    poly, theta, length, _ = metric.two_point_geodesic(a, b, math.atan2(chord[1], chord[0]), 512)
     assert poly.shape == (513, 2)
-    np.testing.assert_allclose(poly, shot[0], rtol=0, atol=1e-10)
-    assert theta == pytest.approx(shot[1], abs=1e-10)
-    assert length == pytest.approx(shot[2], abs=1e-10)
+    # shot from the closed form's start angle and length, the ODE lands on b
+    shot = _shoot(a, theta, length, metric)
+    np.testing.assert_allclose(shot[-1], b, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(poly, shot, rtol=0, atol=1e-10)
     if a[1] == b[1]:
         assert np.all(poly[:, 1] == a[1])
 
 
 @pytest.mark.parametrize("weight", ["x", "sqrtx"])
 def test_closed_form_geodesic_passes_its_vertex(weight):
-    from modp.cones import _shoot_bvp
-
     # the through-vertex case above: the arc turns back in x on its way up
-    poly, _, _ = _shoot_bvp(np.array([1.0, -0.5]), np.array([1.2, 0.6]),
-                            modp.WeightedMetric(weight), 0.0, 1.0)
+    poly, _, _, _ = modp.WeightedMetric(weight).two_point_geodesic(
+        np.array([1.0, -0.5]), np.array([1.2, 0.6]), 0.0, 512)
     inner = int(np.argmin(poly[:, 0]))
     assert 0 < inner < len(poly) - 1 and poly[inner, 0] < 1.0 - 5e-3
 
@@ -171,53 +148,50 @@ def test_closed_form_geodesic_passes_its_vertex(weight):
 def test_closed_form_geodesic_takes_the_lighter_of_two_catenaries():
     from scipy.optimize import brentq
 
-    from modp.cones import _shoot_bvp
-
     # the catenaries x = r cosh((y - 1/2) / r) through (1, 0) and (1, 1):
     # r cosh(1 / 2r) = 1 has a deep root near 0.24 and a shallow one near 0.85
     a, b = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    metric = modp.WeightedMetric("x")
+    # (start angle, length, weighted length r^2 (h + sinh(2h) / 2), h = 1 / 2r)
     hints = []
     for lo, hi in [(0.2, 0.3), (0.6, 1.0)]:
         r = brentq(lambda r: r * math.cosh(0.5 / r) - 1, lo, hi)
-        hints.append((math.atan2(1.0, math.sinh(-0.5 / r)), 2 * r * math.sinh(0.5 / r)))
-    deep, shallow = (_shoot_bvp(a, b, ArrayOnly("x"), *h) for h in hints)
-    metric = modp.WeightedMetric("x")
-    assert modp.weighted_length(shallow[0], metric) < modp.weighted_length(deep[0], metric) - 0.1
-    assert deep[0][:, 0].min() < 0.3 < 0.8 < shallow[0][:, 0].min()
+        hints.append((math.atan2(1.0, math.sinh(-0.5 / r)), 2 * r * math.sinh(0.5 / r),
+                      r * r * (0.5 / r + math.sinh(1 / r) / 2)))
+    # the deep arc turns sharply: 512 RK4 steps miss b by 1.4e-10
+    deep, shallow = (_shoot(a, *h[:2], metric, steps=2048) for h in hints)
+    for shot in (deep, shallow):
+        np.testing.assert_allclose(shot[-1], b, rtol=0, atol=1e-10)
+    assert modp.weighted_length(shallow, metric) < modp.weighted_length(deep, metric) - 0.1
+    assert deep[:, 0].min() < 0.3 < 0.8 < shallow[:, 0].min()
     # the closed form returns the lighter arc even when the hint points at the other
     for hint in hints:
-        poly, theta, length = _shoot_bvp(a, b, metric, *hint)
-        np.testing.assert_allclose(poly, shallow[0], rtol=0, atol=1e-10)
-        assert theta == pytest.approx(shallow[1], abs=1e-10)
-        assert length == pytest.approx(shallow[2], abs=1e-10)
+        poly, theta, length, w_length = metric.two_point_geodesic(a, b, hint[0], 2048)
+        np.testing.assert_allclose(poly, shallow, rtol=0, atol=1e-10)
+        assert theta == pytest.approx(hints[1][0], abs=1e-10)
+        assert length == pytest.approx(hints[1][1], abs=1e-10)
+        assert w_length == pytest.approx(hints[1][2], rel=1e-14)
 
 
 TAYLOR_TERMINALS = [((math.cos(math.radians(a)), math.sin(math.radians(a))), 1)
                     for a in (-40.0, 0.0, 40.0)]
 
 
-def test_taylor_network_uses_closed_form_arcs(monkeypatch):
-    from modp import cones
-
-    def no_rk4(*args):
-        raise AssertionError("RK4 shooting under a shipped weight")
-
-    monkeypatch.setattr(cones, "_rk4_shoot", no_rk4)
-    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=modp.WeightedMetric("x"))
+def test_taylor_network_uses_closed_form_arcs():
+    metric = modp.WeightedMetric("x")
+    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=metric)
     (j,) = net.junctions
     # the biased junction that the benchmark's surface workload pins: the
     # polish balances end-step chords (see the strict xfail above); the
     # balanced exact tangents put it at x = 0.8362529565
     assert net.nodes[j][0] == pytest.approx(TAYLOR_JUNCTION_X, abs=1e-9)
     assert net.nodes[j][1] == pytest.approx(0.0, abs=1e-9)
-    assert net.mass == pytest.approx(1.15677558316804, abs=1e-9)
-
-
-def test_taylor_network_under_array_only_weight_shoots_the_same_junction():
-    net = modp.solve_network(TAYLOR_TERMINALS, 3, weight=ArrayOnly("x"))
-    (j,) = net.junctions
-    np.testing.assert_allclose(net.nodes[j], [TAYLOR_JUNCTION_X, 0.0], rtol=0, atol=1e-9)
-    assert net.mass == pytest.approx(1.15677558316804, abs=1e-9)
+    # each arc is its closed form, with its exact weighted length
+    for arc in net.arcs:
+        poly, _, _, w_length = metric.two_point_geodesic(net.nodes[arc.a], net.nodes[arc.b],
+                                                         0.0, 512)
+        assert np.array_equal(arc.polyline, poly) and arc.length == w_length
+    assert net.mass == pytest.approx(1.1567754661204686, abs=1e-9)
 
 
 def test_k_interior_is_deprecated_and_ignored():
@@ -389,6 +363,16 @@ def test_decay_scan_rejects_bad_radii(taylor_p3, radii):
     q = (taylor_p3.singular_circles[0]["x"], 0.0, taylor_p3.singular_circles[0]["y"])
     with pytest.raises(ValueError, match="radii"):
         modp.decay_scan(taylor_p3, q, radii, with_flat=False)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_sample_spacing_must_be_finite_and_positive(taylor_p3, delta):
+    with pytest.raises(ValueError, match="delta"):
+        modp.build_taylor_example(3, [-40.0, 0.0, 40.0], delta=delta)
+    data = taylor_p3.to_json()
+    data["delta"] = delta
+    with pytest.raises(ValueError, match="delta"):
+        modp.RevolvedCurrent.from_json(data)
 
 
 def test_decay_scan_rejects_far_point(taylor_p3):

@@ -18,6 +18,13 @@ def test_layer_counts_match_closed_form():
                 assert sum(1 for _ in dec.cubes(k)) == dec.layer_count(k)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
+def test_domain_rejects_a_bad_tau(tau):
+    dec = modp.build_decomposition(2, 1, 2)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        modp.whitney_domain(lambda y, r: 0.0, tau, dec)
+
+
 def test_cubes_run_first_axis_fastest():
     # the row order of ``modp whitney --csv``
     dec = modp.build_decomposition(3, 1, 1)

@@ -200,7 +200,7 @@ class WeightedNetwork:
     """A solved network; ``junctions``, ``mass`` and ``balance_residuals``
     are derived from its nodes and arcs, written by ``to_json`` and not read."""
 
-    nodes: np.ndarray  # (n_nodes, 2); the terminals, then junctions of >= 3 live arcs
+    nodes: np.ndarray  # (n_nodes, 2); the terminals, then junctions of >= 3 arcs
     terminal_multiplicities: list
     arcs: list
     weight_id: str
@@ -260,7 +260,7 @@ def _end_tangents(j, arcs):
     first or last step.  On a curved network that is the chord of one of
     512 equal steps of the geodesic, not the arc's tangent at the node: a
     known bias of about 1e-3 in the balance and 6e-4 in the junction on the
-    Taylor example (ROADMAP item 2)."""
+    Taylor example (ROADMAP item 4)."""
     out = []
     for a, b, kappa, poly in arcs:
         if kappa == 0:
@@ -323,69 +323,71 @@ def _full_topologies(n: int):
 
 
 def tree_multiplicities(edges, n_nodes, terminal_mult, p):
-    """Edge multiplicities forced by the mod-p boundary data on a tree.
+    """Edge multiplicities forced by the mod-p boundary data on a forest.
 
     Each arc oriented a -> b carries kappa with boundary +kappa at b and
     -kappa at a; the prescribed signed sum at node v is terminal_mult[v]
-    (0 at junctions).  On a tree the solution is unique mod p; the reduced
-    representative in (-p/2, p/2] is returned per edge.  Raises
-    ``ValueError`` when the prescribed sum over a component is not 0 mod p.
+    (0 at junctions).  On a forest the solution is unique mod p: each arc's
+    kappa is the prescribed sum over b's side of the cut that the arc makes,
+    returned as its representative in (-p/2, p/2].  Raises ``ValueError``
+    when the boundary of that answer misses the data at some node, which
+    happens exactly when the sum over some component is not 0 mod p.
     """
-    adj = {v: [] for v in range(n_nodes)}
+    adj = [[] for _ in range(n_nodes)]
     for idx, (a, b) in enumerate(edges):
-        adj[a].append((b, idx, -1))
-        adj[b].append((a, idx, +1))
-    need = {v: int(terminal_mult[v]) if v < len(terminal_mult) else 0
-            for v in range(n_nodes)}
-    kappa = [None] * len(edges)
-    degree = {v: len(adj[v]) for v in range(n_nodes)}
-    pending = [v for v in range(n_nodes) if degree[v] == 1]
-    removed = [False] * len(edges)
-    # a leaf hands its residual on to its neighbour; the node where the
-    # elimination of a component ends keeps the residual of that component
-    handed_on = [False] * n_nodes
-    while pending:
-        v = pending.pop()
-        live = [(u, idx, s) for u, idx, s in adj[v] if not removed[idx]]
-        if not live:
-            continue
-        u, idx, s = live[0]
-        # s = +1 when v is the head (b) of the edge
-        kappa[idx] = representative_modp(s * need[v], p)
-        need[u] = (need[u] + need[v]) % p
-        handed_on[v] = True
-        removed[idx] = True
-        degree[u] -= 1
-        degree[v] -= 1
-        if degree[u] == 1:
-            pending.append(u)
-    if any(need[v] % p for v in range(n_nodes) if not handed_on[v]):
+        adj[a].append((b, idx))
+        adj[b].append((a, idx))
+    need = [int(terminal_mult[v]) if v < len(terminal_mult) else 0 for v in range(n_nodes)]
+    kappa = []
+    for idx, (_, b) in enumerate(edges):
+        side, stack = {b}, [b]
+        while stack:
+            for u, other in adj[stack.pop()]:
+                if other != idx and u not in side:
+                    side.add(u)
+                    stack.append(u)
+        kappa.append(representative_modp(sum(need[v] for v in side), p))
+    boundary = [0] * n_nodes
+    for (a, b), k in zip(edges, kappa):
+        boundary[a] -= k
+        boundary[b] += k
+    if any((boundary[v] - need[v]) % p for v in range(n_nodes)):
         raise ValueError("multiplicities do not balance mod p")
     return kappa
 
 
+def _tree(arcs, n_term):
+    """The arcs (a, b, kappa) with kappa != 0 and a != b, their junctions
+    renumbered n_term, n_term + 1, ... in order, and the old number of each
+    junction."""
+    arcs = [arc for arc in arcs if arc[2] and arc[0] != arc[1]]
+    juncs = sorted({v for a, b, _ in arcs for v in (a, b) if v >= n_term})
+    label = {v: n_term + k for k, v in enumerate(juncs)}
+    return [(label.get(a, a), label.get(b, b), k) for a, b, k in arcs], juncs
+
+
 class _TopologyProblem:
     """Geometry optimization of one tree topology with fixed multiplicities:
-    the variables are the junction coordinates, each live arc one straight
-    segment weighted by the midpoint rule."""
+    the variables are the junction coordinates, each arc one straight
+    segment weighted by the midpoint rule.  ``arcs`` holds (a, b, kappa)
+    with kappa != 0, and every junction n_term, n_term + 1, ... lies on an
+    arc (``_tree``)."""
 
-    def __init__(self, edges, kappa, terminals, metric):
-        self.edges = edges
-        self.kappa = kappa
+    def __init__(self, arcs, terminals, metric):
+        self.arcs = arcs
         self.terminals = np.asarray(terminals, dtype=float)
         self.n_term = len(terminals)
-        self.n_nodes = max([self.n_term] + [max(e) + 1 for e in edges])
+        self.n_nodes = max([self.n_term] + [max(a, b) + 1 for a, b, _ in arcs])
         self.n_junc = self.n_nodes - self.n_term
         self.metric = metric
         self.curved = not isinstance(metric, EuclideanWeight)
-        self.live = [i for i, k in enumerate(kappa) if k != 0]
-        self.heads = np.array([edges[i][0] for i in self.live], dtype=int)
-        self.tails = np.array([edges[i][1] for i in self.live], dtype=int)
-        self.weights = np.array([abs(kappa[i]) for i in self.live], dtype=float)
+        self.heads = np.array([a for a, _, _ in arcs], dtype=int)
+        self.tails = np.array([b for _, b, _ in arcs], dtype=int)
+        self.weights = np.array([abs(k) for _, _, k in arcs], dtype=float)
         # signed arc-node incidence: row e is -1 at the head, +1 at the tail
-        self.incidence = np.zeros((len(self.live), self.n_nodes))
-        self.incidence[np.arange(len(self.live)), self.heads] = -1.0
-        self.incidence[np.arange(len(self.live)), self.tails] = 1.0
+        self.incidence = np.zeros((len(arcs), self.n_nodes))
+        self.incidence[np.arange(len(arcs)), self.heads] = -1.0
+        self.incidence[np.arange(len(arcs)), self.tails] = 1.0
         self.pairs = [tuple(sorted((int(a), int(b)))) for a, b in zip(self.heads, self.tails)]
         # the terminals' span sets the merge length and the difference step
         self.span = float(np.max(np.ptp(self.terminals, axis=0))) or 1.0
@@ -436,11 +438,11 @@ class _TopologyProblem:
     def solve(self, x0):
         """(mass, junction coordinates) of a local minimum from the start x0.
 
-        A junction with fewer than three live arcs is merged into a
-        neighbour before any iteration.  Then damped Newton steps: the exact
+        A junction of two arcs is merged into a neighbour along the
+        shorter before any iteration.  Then damped Newton steps: the exact
         gradient, the ``hessian`` with its eigenvalues replaced by their
         absolute values (floored), Armijo backtracking, and a weight's
-        ``min_x`` held by projection.  When a live arc at a junction is
+        ``min_x`` held by projection.  When an arc at a junction is
         shorter than ``JUNCTION_MERGE_TOL`` times the terminals' span, the
         tree with that arc merged is solved; its value is returned when
         splitting the merged node again cannot lower the mass (``_split``),
@@ -455,11 +457,8 @@ class _TopologyProblem:
         if np.any(degree[n:] < 3):
             j = n + int(np.argmax(degree[n:] < 3))
             at_j = np.flatnonzero((self.heads == j) | (self.tails == j))
-            keep = gone = None
-            if len(at_j):
-                d = self.incidence[at_j] @ self.nodes(x)
-                keep, gone = self.pairs[at_j[np.argmin(np.hypot(d[:, 0], d[:, 1]))]]
-            return self._solve_merged(x, keep, gone)
+            d = self.incidence[at_j] @ self.nodes(x)
+            return self._solve_merged(x, *self.pairs[at_j[np.argmin(np.hypot(d[:, 0], d[:, 1]))]])
 
         tol = JUNCTION_MERGE_TOL * self.span
         min_x = getattr(self.metric, "min_x", None)
@@ -508,7 +507,7 @@ class _TopologyProblem:
         return val, x
 
     def _short_arc(self, x, tol, refused):
-        """The shortest live arc at a junction shorter than ``tol`` whose
+        """The shortest arc at a junction shorter than ``tol`` whose
         merge was not refused, or None."""
         d = self.incidence @ self.nodes(x)
         lengths = np.hypot(d[:, 0], d[:, 1])
@@ -541,12 +540,11 @@ class _TopologyProblem:
         val, y = sub.solve(y0)
         nodes = self.nodes(x)
         nodes[juncs] = y.reshape(-1, 2)
-        if gone is not None:
-            nodes[gone] = nodes[keep]
+        nodes[gone] = nodes[keep]
         return val, nodes[self.n_term:].ravel()
 
     def _split(self, x, i, tol):
-        """Whether the merged solution x, where live arc i has length 0,
+        """Whether the merged solution x, where arc i has length 0,
         gains from opening arc i again: None when it does not, else x with
         one side moved ``tol`` along the steepest descent.
 
@@ -582,28 +580,20 @@ class _TopologyProblem:
         return None
 
 
-def _merged(prob, x, keep=None, gone=None):
-    """The tree of ``prob``'s live arcs with node ``gone`` merged into node
-    ``keep`` (the arc between them dropped, junctions renumbered in order),
-    a start vector at the current positions, the merged node at ``keep``'s,
-    and the old index of each junction of the new tree.  Without ``gone``
-    it only drops the dead arcs and the junctions they leave without an
-    arc."""
-    nodes = prob.nodes(x)
-    arcs = [(keep if a == gone else a, keep if b == gone else b, prob.kappa[i])
-            for i in prob.live for a, b in [prob.edges[i]]]
-    arcs = [arc for arc in arcs if arc[0] != arc[1]]
-    juncs = sorted({v for a, b, _ in arcs for v in (a, b) if v >= prob.n_term})
-    label = {v: prob.n_term + k for k, v in enumerate(juncs)}
-    sub = _TopologyProblem([(label.get(a, a), label.get(b, b)) for a, b, _ in arcs],
-                           [k for _, _, k in arcs], prob.terminals, prob.metric)
-    return sub, nodes[juncs].ravel(), juncs
+def _merged(prob, x, keep, gone):
+    """The tree of ``prob``'s arcs with node ``gone`` merged into node
+    ``keep`` (``_tree``: the arc between them dropped, junctions renumbered
+    in order), a start vector at the current positions, the merged node at
+    ``keep``'s, and the old index of each junction of the new tree."""
+    arcs, juncs = _tree([(keep if a == gone else a, keep if b == gone else b, k)
+                         for a, b, k in prob.arcs], prob.n_term)
+    sub = _TopologyProblem(arcs, prob.terminals, prob.metric)
+    return sub, prob.nodes(x)[juncs].ravel(), juncs
 
 
 def _contract(prob, x):
-    """The tree that ``prob.solve`` ended on: the dead arcs dropped and every
-    live arc of length 0 at a junction merged, with its variables."""
-    prob, x, _ = _merged(prob, x)
+    """The tree that ``prob.solve`` ended on: every arc of length 0 at a
+    junction merged, with its variables."""
     while True:
         zero = ~(prob.incidence @ prob.nodes(x)).any(axis=1) & \
             (np.maximum(prob.heads, prob.tails) >= prob.n_term)
@@ -619,17 +609,19 @@ def solve_network(terminals, p: int, weight="euclidean",
     terminals: 2 to 6 ((x, y), multiplicity) pairs with finite points and
     integer multiplicities; p: an integer >= 2.  Enumerates the full
     Steiner topologies (every terminal a leaf, every junction of degree 3),
-    derives the forced mod-p arc multiplicities per topology, and optimizes
-    the junctions alone by damped Newton (``_TopologyProblem.solve``), once
+    derives the forced mod-p arc multiplicities per topology
+    (``tree_multiplicities``), keeps the arcs whose multiplicity is not 0
+    mod p and the junctions on them (``_tree``), and optimizes the
+    junctions alone by damped Newton (``_TopologyProblem.solve``), once
     per topology from every junction at the terminals' centroid, under
     every weight: each arc is one straight segment weighted by the midpoint
     rule, and a weight's ``min_x`` bounds x.  The solve contracts as it
-    goes: a junction of fewer than three live arcs is merged before it
-    iterates, and an arc shorter than ``JUNCTION_MERGE_TOL`` times the
-    terminals' span is merged when that is a minimum, so each value is that
-    of a finished solve.  Each topology's solve is a candidate; a topology
-    whose solve raises ValueError or FloatingPointError is skipped and
-    counts in ``skipped_topologies`` and in ``failed_starts``.  In ascending
+    goes: a junction of two arcs is merged before it iterates, and an arc
+    shorter than ``JUNCTION_MERGE_TOL`` times the terminals' span is merged
+    when that is a minimum, so each value is that of a finished solve.
+    Each topology's solve is a candidate; a topology whose solve raises
+    ValueError or FloatingPointError is skipped and counts in
+    ``skipped_topologies`` and in ``failed_starts``.  In ascending
     order of mass, ties to the first topology, a candidate's merged arcs
     are contracted (``_contract``), and under a conformal weight its arcs
     become the weight's two-point geodesics with its junctions re-balanced
@@ -671,16 +663,16 @@ def solve_network(terminals, p: int, weight="euclidean",
         raise ValueError(f"terminals must lie in x > {metric.min_x:g}, the weight's domain")
 
     n = len(pts)
-    njunc = n - 2
-    centre = np.tile(pts.mean(axis=0), njunc)
+    centroid = pts.mean(axis=0)
     candidates = []
     skipped, failed, last = 0, 0, None
     for edges in sorted(_full_topologies(n)):
         # every topology is a tree, so the sum check above balances it
-        kappa = tree_multiplicities(edges, n + njunc, mult, p)
-        prob = _TopologyProblem(list(edges), kappa, pts, metric)
+        kappa = tree_multiplicities(edges, 2 * n - 2, mult, p)
+        arcs, _ = _tree([(a, b, k) for (a, b), k in zip(edges, kappa)], n)
+        prob = _TopologyProblem(arcs, pts, metric)
         try:
-            val, x = prob.solve(centre)
+            val, x = prob.solve(np.tile(centroid, prob.n_junc))
         except (ValueError, FloatingPointError) as err:
             skipped += 1
             failed += 1
@@ -721,11 +713,9 @@ def _network(prob, x, mult, p) -> WeightedNetwork:
             return _merged_network(prob, nodes, range(prob.n_term, prob.n_nodes), mult, p)
     else:
         lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
-        arcs = {idx: (nodes[list(prob.edges[idx])], float(length))
-                for idx, length in zip(prob.live, lengths)}
-    net = WeightedNetwork(nodes, mult,
-                          [NetworkArc(*prob.edges[idx], int(prob.kappa[idx]), *arcs[idx])
-                           for idx in prob.live],
+        arcs = [(nodes[[a, b]], float(length)) for (a, b, _), length in zip(prob.arcs, lengths)]
+    net = WeightedNetwork(nodes, mult, [NetworkArc(a, b, int(k), *arc)
+                                        for (a, b, k), arc in zip(prob.arcs, arcs)],
                           getattr(prob.metric, "name", "conformal"), p)
     unbalanced = [j for j, r in net.balance_residuals.items()
                   if r > BALANCE_TOL] if prob.curved else []
@@ -741,7 +731,7 @@ def _network(prob, x, mult, p) -> WeightedNetwork:
 
 def _merged_network(prob, nodes, juncs, mult, p) -> WeightedNetwork:
     """The network (``_network``) of ``prob``'s tree at ``nodes`` merged
-    along its shortest live arc at one of the junctions ``juncs``."""
+    along its shortest arc at one of the junctions ``juncs``."""
     lengths = np.linalg.norm(prob.incidence @ nodes, axis=1)
     i = min((i for i, pair in enumerate(prob.pairs) if set(pair) & set(juncs)),
             key=lengths.__getitem__)
@@ -750,31 +740,30 @@ def _merged_network(prob, nodes, juncs, mult, p) -> WeightedNetwork:
 
 def _shooting_polish(prob, nodes):
     """Geodesic arcs for a solved tree under a conformal weight: (nodes,
-    {arc: (polyline, weighted length)}).  The arcs become the weight's
-    two-point geodesics (``two_point_geodesic``), and Newton steps on a
-    finite-difference Hessian, with a line search, balance the junctions on
-    the rule of ``junction_tangents``.  Raises ValueError when an arc cannot
-    be shot at the start; later it stops where it is when an arc cannot be
-    shot, the Hessian is singular or no step lowers the imbalance, and the
-    caller judges the residual."""
+    [(polyline, weighted length)] in the order of ``prob.arcs``).  The arcs
+    become the weight's two-point geodesics (``two_point_geodesic``), and
+    Newton steps on a finite-difference Hessian, with a line search,
+    balance the junctions on the rule of ``junction_tangents``.  Raises
+    ValueError when an arc cannot be shot at the start; later it stops
+    where it is when an arc cannot be shot, the Hessian is singular or no
+    step lowers the imbalance, and the caller judges the residual."""
     metric = prob.metric
     juncs = range(prob.n_term, prob.n_nodes)
 
     def arcs_from(nodes_now):
-        shot = {}
-        for idx in prob.live:
-            a, b = prob.edges[idx]
+        shot = []
+        for a, b, _ in prob.arcs:
             # the start angle (theta0 picks its branch) is not used here
             res = metric.two_point_geodesic(nodes_now[a], nodes_now[b], 0.0, 512)
             if res is None:
                 ends = [nodes_now[v].round(6).tolist() for v in (a, b)]
                 raise ValueError(f"no geodesic under the weight joins {ends[0]} and {ends[1]}")
-            shot[idx] = (res[0], res[3])
+            shot.append((res[0], res[3]))
         return shot
 
     def balance(nodes_now, shot):
         """The mass's gradient in the junctions: -sum |kappa| w tau."""
-        arcs = [(*prob.edges[idx], prob.kappa[idx], shot[idx][0]) for idx in prob.live]
+        arcs = [(a, b, k, poly) for (a, b, k), (poly, _) in zip(prob.arcs, shot)]
         return np.ravel([-sum((k * wj * tau for k, tau in _end_tangents(j, arcs)), np.zeros(2))
                          for j, wj in zip(juncs, metric.w(nodes_now[prob.n_term:]))])
 

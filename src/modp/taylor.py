@@ -116,7 +116,7 @@ class WeightedMetric:
 
         target = abs(dy)
         # each end of the s-bracket doubles until the rise there falls below
-        # the target; an end that doubled holds its crossing in its last step
+        # the target
         left = right = 8.0
         while rise(-left) >= target and left < _S_MAX:
             left = min(2 * left, _S_MAX)
@@ -132,15 +132,9 @@ class WeightedMetric:
                 (2 / 3) * (X_lo * X_lo + X_lo * X_hi + X_hi * X_hi) / (X_lo + X_hi)
             w_length = length * mean_w
         else:
-            brackets = [(-left, -left / 2)] if left > 8 else []
-            if min(left, right) == 8:
-                brackets.append((-8.0, 8.0))
-            if right > 8:
-                brackets.append((right / 2, right))
-            found = [_level_crossings(rise, *bracket, target) for bracket in brackets]
-            if None in found:
+            roots = _level_crossings(rise, -left, right, target)
+            if roots is None:
                 return None
-            roots = [root for part in found for root in part]
             s = min(roots, key=weighted_length)
             w_length = weighted_length(s)
             r, v0, v1 = ends(s)
@@ -199,15 +193,13 @@ def _level_crossings(f, lo, hi, level):
     when the maximum stays below it.  An end where f reaches the level
     bounds the other end's bracket.  Otherwise golden-section steps toward
     the maximum stop where f first reaches the level, and the ends they
-    discard narrow both brackets.  A bracketed Illinois regula falsi
-    (Dowell and Jarratt, BIT 11, 1971) shrinks each bracket to two adjacent
-    floats, or to a point where f equals the level, and returns its end
-    where f reaches it.
+    discard narrow both brackets.  Bisection halves each bracket down to
+    two adjacent floats and returns its end where f reaches the level.
     """
     g = (math.sqrt(5) - 1) / 2
     f_lo, f_hi = f(lo) - level, f(hi) - level
     if f_lo >= 0 or f_hi >= 0:
-        top, f_top = (lo, f_lo) if f_lo >= 0 else (hi, f_hi)
+        top = lo if f_lo >= 0 else hi
     else:
         x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
         f1, f2 = f(x1) - level, f(x2) - level
@@ -222,24 +214,20 @@ def _level_crossings(f, lo, hi, level):
                 hi, f_hi, x2, f2 = x2, f2, x1, f1
                 x1 = hi - g * (hi - lo)
                 f1 = f(x1) - level
-        top, f_top = (x1, f1) if f1 >= 0 else (x2, f2)
+        top = x1 if f1 >= 0 else x2
     crossings = []
     for a, fa in ((lo, f_lo), (hi, f_hi)):
         if fa >= 0:
             continue
-        # f(a) < level <= f(b); halve the value kept at an end that stays twice
-        b, fb, moved = top, f_top, 0
-        while fb != 0:
-            x = b - fb * (b - a) / (fb - fa)
-            if not min(a, b) < x < max(a, b):  # the secant rounds onto an end
-                x = math.nextafter(a, b) if abs(x - a) <= abs(x - b) else math.nextafter(b, a)
-                if x in (a, b):
-                    break
-            fx = f(x) - level
-            if fx < 0:
-                a, fa, fb, moved = x, fx, fb / 2 if moved < 0 else fb, -1
+        # f(a) < level <= f(b)
+        b = top
+        mid = 0.5 * (a + b)
+        while mid not in (a, b):
+            if f(mid) < level:
+                a = mid
             else:
-                b, fb, fa, moved = x, fx, fa / 2 if moved > 0 else fa, 1
+                b = mid
+            mid = 0.5 * (a + b)
         crossings.append(b)
     return crossings
 

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modp
 from modp import cones, fixtures
@@ -138,6 +139,79 @@ def test_tree_multiplicities_rejects_unbalanced_data():
     # the edge 0 -> 1 has boundary (-1, +1), so no multiplicity gives (1, 1) mod 3
     with pytest.raises(ValueError, match="balance"):
         modp.tree_multiplicities([(0, 1)], 2, [1, 1], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tree_multiplicities_on_random_forests(data):
+    # a forest on n nodes, some of them isolated, with multiplicities given
+    # for its first nodes; the answer balances every node mod p, or the sum
+    # over some component is not 0 mod p and it raises
+    n = data.draw(st.integers(1, 12))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    joins = [(data.draw(st.integers(-1, v - 1)), v) for v in range(1, n)]
+    label = data.draw(st.permutations(range(n)))
+    edges = [(label[a], label[b]) if data.draw(st.booleans()) else (label[b], label[a])
+             for a, b in data.draw(st.permutations([j for j in joins if j[0] >= 0]))]
+    component = list(range(n))
+    for a, b in edges:
+        old, new = component[a], component[b]
+        component = [new if c == old else c for c in component]
+    given_nodes = data.draw(st.integers(0, n))
+    mult = data.draw(st.lists(st.integers(-3, 3), min_size=given_nodes, max_size=given_nodes))
+    if data.draw(st.booleans()):
+        # balance each component at one of its nodes
+        mult = mult + [0] * (n - given_nodes)
+        for c in set(component):
+            v = component.index(c)
+            mult[v] = int(representative_modp(
+                mult[v] - sum(m for m, cv in zip(mult, component) if cv == c), p))
+    need = mult + [0] * (n - len(mult))
+    unbalanced = any(sum(m for m, cv in zip(need, component) if cv == c) % p
+                     for c in set(component))
+    for terminal_mult in (mult, dict(enumerate(mult))):
+        if unbalanced:
+            with pytest.raises(ValueError, match="balance"):
+                modp.tree_multiplicities(edges, n, terminal_mult, p)
+            continue
+        kappa = modp.tree_multiplicities(edges, n, terminal_mult, p)
+        assert len(kappa) == len(edges)
+        assert all(-p < 2 * k <= p for k in kappa)
+        boundary = [0] * n
+        for (a, b), k in zip(edges, kappa):
+            boundary[a] -= k
+            boundary[b] += k
+        assert all((bd - m) % p == 0 for bd, m in zip(boundary, need))
+
+
+def test_network_trees_hold_only_live_arcs(monkeypatch):
+    # every tree solve_network builds, for each full topology and after each
+    # merge, has kappa != 0 mod p on every arc and every junction on an arc,
+    # also for data where arcs die (a terminal or a cut of multiplicity 0 mod p)
+    built = []
+
+    class Recorded(cones._TopologyProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(cones, "_TopologyProblem", Recorded)
+    rng = np.random.default_rng(28)
+    dead = 0
+    for n in range(3, 7):
+        for p in (2, 3):
+            mult = [1] * (n - 1) + [p - (n - 1) % p]
+            dead += sum(0 in modp.tree_multiplicities(edges, 2 * n - 2, mult, p)
+                        for edges in cones._full_topologies(n))
+            th = np.sort(rng.uniform(0, 2 * math.pi, n))
+            built.clear()
+            modp.solve_network([((math.cos(a), math.sin(a)), m) for a, m in zip(th, mult)], p)
+            assert len(built) >= len(cones._full_topologies(n))
+            for prob in built:
+                assert all(k % p for _, _, k in prob.arcs)
+                on_arcs = {v for a, b, _ in prob.arcs for v in (a, b)}
+                assert on_arcs >= set(range(prob.n_term, prob.n_nodes))
+    assert dead > 0
 
 
 def test_solve_network_equilateral():
@@ -533,7 +607,8 @@ def test_topology_solve_opens_a_merge_that_is_no_minimum():
     terms = np.array([(-2.0, 1.0), (-2.0, -1.0), (2.0, 1.0), (2.0, -1.0)])
     edges = [(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)]
     kappa = modp.tree_multiplicities(edges, 6, [1, 1, -1, -1], 3)
-    prob = cones._TopologyProblem(edges, kappa, terms, cones.EuclideanWeight())
+    prob = cones._TopologyProblem([(a, b, k) for (a, b), k in zip(edges, kappa)], terms,
+                                  cones.EuclideanWeight())
     val, x = prob.solve(np.zeros(4))
     assert val == pytest.approx(4 + 2 * math.sqrt(3), rel=1e-12)
     np.testing.assert_allclose(x, [-2 + 1 / math.sqrt(3), 0, 2 - 1 / math.sqrt(3), 0],

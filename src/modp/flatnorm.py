@@ -1,13 +1,18 @@
-"""Flat norms mod p and discrete Plateau problems as one integer program.
+"""Flat norms mod p and discrete Plateau problems as integer programs.
 
 Both problems minimize sum_j vol_j |x_j| subject to A x = rhs mod p: for a
 Plateau problem A is the boundary map and rhs the boundary data; for a flat
 norm A = [I | boundary], x = (R, Z) and rhs = T, which is
-T - R - boundary(Z) = 0 mod p.  ``_modp_program`` states that program once,
-with one box, and hands it to HiGHS (scipy ``milp``) through the one call in
-``_solve_milp``.  Plateau problems with at most 8 boundary points use an
-exact Steiner dynamic program instead.  ``brute_force_flat_oracle`` is an
-exhaustive reference for small complexes.
+T - R - boundary(Z) = 0 mod p.  Where every k-face of the program has at
+most two cofaces and p is small, ``_labelling_program`` solves it as a
+labelling of the (k+1)-simplices by Z_p: an LP first, and integral labels
+only when the LP leaves some label fractional.  Elsewhere ``_modp_program``
+states it with one box.  Both hand it to HiGHS (scipy ``milp``) through the
+one call in ``_solve_milp``.  Plateau problems with at most 8 boundary
+points use an exact Steiner dynamic program; larger point boundaries on a
+2-complex with H_1 = 0 use the labelling program on S0 - boundary(Z), S0 a
+spanning forest with the right boundary, for p <= 13.
+``brute_force_flat_oracle`` is an exhaustive reference for small complexes.
 """
 
 from __future__ import annotations
@@ -106,10 +111,12 @@ def _solve_milp(c, A, lo, hi, lb, ub, integrality, time_limit):
     little HiGHS's absolute stopping gap of 1e-6 allows, on a proven optimum;
     on a solve stopped at its time limit it is the gap HiGHS reports, or inf
     when that is missing or not positive, so an unproven incumbent never
-    reads as optimal.  An infeasible program raises ``ValueError``; only a
+    reads as optimal.  A pure LP (no integral entry) reports gap 0 and 0
+    nodes when solved.  An infeasible program raises ``ValueError``; only a
     Plateau boundary that does not bound mod p makes one, as a flat norm is
-    always feasible.  A solve that ends with no incumbent raises
-    ``RuntimeError``.
+    always feasible.  A solve that ends with no incumbent, an LP stopped at
+    its time limit with no solution among them, raises
+    ``RuntimeError("MILP failed: ...")``.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -138,16 +145,22 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
                    time_limit: float = 120.0) -> FlatDecomposition:
     """Minimize mass(R)+mass(Z) over W subject to T = R + boundary(Z) + p*P.
 
-    Z ranges over integer (k+1)-chains, P over integer k-chains.  The
-    program of ``_modp_program`` takes x = (R, Z) with A = [I | boundary]
-    and rhs = T, so that P = -y; R and Z are priced by volume in W and at 0
-    outside it.  Its box |R_e|, |z_f| <= floor(p/2) and its bound on P are
-    proved there once for both problems.  The program is solved by HiGHS
-    with a zero relative gap within ``time_limit`` seconds (>= 0, inf for
-    none).  If the time limit stops it with an incumbent, that incumbent is
-    returned with the unclosed gap in ``optimality_gap``; with no incumbent
-    a ``RuntimeError`` is raised.  A chain that vanishes mod p on W has
-    value 0 with Z = 0 and P = T / p on W, and no program.
+    Z ranges over integer (k+1)-chains, P over integer k-chains; R and Z
+    are priced by volume in W and at 0 outside it.  When p <= 5 and each
+    row of the program (a k-face of W) has at most two of its columns (the
+    kept (k+1)-simplices) as cofaces, ``_labelling_program`` solves it with
+    B the boundary block, R = rep(T - boundary(Z)) on its rows and P what is
+    left over: one LP, proven by itself when its labels come out integral,
+    and otherwise a second solve with integral labels.  Any other program
+    goes to ``_modp_program``, with x = (R, Z), A = [I | boundary] and
+    rhs = T, so that P = -y; its box |R_e|, |z_f| <= floor(p/2) and its
+    bound on P are proved there.  Either is solved by HiGHS with a zero
+    relative gap within ``time_limit`` seconds (>= 0, inf for none).  If the
+    time limit stops it with an incumbent, that incumbent is returned with
+    the unclosed gap in ``optimality_gap``; with no incumbent a
+    ``RuntimeError`` is raised.  ``nodes`` counts each labelling LP as one
+    node.  A chain that vanishes mod p on W has value 0 with Z = 0 and
+    P = T / p on W, and no program.
 
     The program is localized to the chain (``_reach``).  Join two
     (k+1)-simplices when they share a k-face in W, and call a k-face of W
@@ -213,12 +226,22 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
         pi = P.copy()
         nodes, gap = 0, 0.0
         if len(cols):
-            # T - R - boundary(Z) = 0 mod p, with x = (R, Z) and P = -y
-            A = sparse.hstack([sparse.eye(len(rows)), B[rows][:, cols]])
-            cost = np.concatenate([cx.volumes[k][rows], np.where(in_wz[cols], vol_z[cols], 0.0)])
-            x, y, nodes, gap = _modp_program(A, t_dense[rows], cost, p, limit)
-            z[cols] = x[len(rows):]
-            pi[rows] = -y
+            Bw = B[rows][:, cols]
+            cost_r = cx.volumes[k][rows]
+            cost_z = np.where(in_wz[cols], vol_z[cols], 0.0)
+            # the labelling program has p^2 columns per two-coface face: for
+            # p >= 7 the boxed program was faster on every flat norm timed
+            if p <= 5 and np.diff(Bw.indptr).max(initial=0) <= 2:
+                z[cols], nodes, gap = _labelling_program(Bw, t[rows], cost_r, cost_z, p, limit)
+                rest = t[rows] - np.rint(Bw @ z[cols]).astype(np.int64)
+                pi[rows] = (rest - representative_modp(rest, p)) // p
+            else:
+                # T - R - boundary(Z) = 0 mod p, with x = (R, Z) and P = -y
+                A = sparse.hstack([sparse.eye(len(rows)), Bw])
+                x, y, nodes, gap = _modp_program(A, t_dense[rows],
+                                                 np.concatenate([cost_r, cost_z]), p, limit)
+                z[cols] = x[len(rows):]
+                pi[rows] = -y
         zc = IntegerChain(cx, k + 1, z) if has_z else None
         pic = IntegerChain(cx, k, pi)
         val, R = _exact_value(T, zc, pic, p, W)
@@ -390,9 +413,17 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     """Mass-minimal integer k-chain whose boundary is congruent to b mod p.
 
     Point boundary data with at most 8 support points goes to the exact
-    Dreyfus-Wagner Steiner dynamic program; everything else to the integer
-    program of ``_modp_program`` (``_plateau_milp``), whose solve stops after
-    ``time_limit`` seconds, which must be >= 0 whichever engine runs.
+    Dreyfus-Wagner Steiner dynamic program.  Point boundary data with more
+    goes, for p <= 13, to ``_labelling_program`` (``_plateau_labelling``)
+    when ``_acyclic_forest`` shows from the simplices alone that the complex
+    is a 2-complex with H_1(K; Z_p) = 0: at most two triangles on an edge,
+    an edge with one triangle in each group of triangles joined across the
+    others, and V - E + F equal to its number of components.  Everything
+    else, curve boundaries, complexes with holes and p >= 17 among them,
+    goes to the boxed program of ``_modp_program`` (``_plateau_milp``).  A
+    program's solve stops after ``time_limit`` seconds, which must be >= 0
+    whichever engine runs.  The choice depends on the complex, the boundary
+    and p alone.
     """
     check_modulus(p)
     _check_time_limit(time_limit)
@@ -406,7 +437,81 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
         return PlateauSolution(cx.chain(k), 0.0, b, 0.0, nodes=0)
     if b.degree == 0 and np.count_nonzero(b.representative.vector) <= 8:
         return _plateau_steiner_dp(b, p)
+    # p^2 pair variables per edge: from p = 17 on, some boundaries solved
+    # faster as the boxed program, and at p = 31 most did
+    forest = _acyclic_forest(cx) if b.degree == 0 and p <= 13 else None
+    if forest is not None:
+        return _plateau_labelling(b, p, forest, time_limit)
     return _plateau_milp(b, p, time_limit)
+
+
+def _acyclic_forest(cx: SimplicialComplex):
+    """One breadth-first tree per component of the edge graph of ``cx``, as
+    (hops from its root, predecessor or -9999 at a root), when ``cx`` is a
+    2-complex with H_1(K; Z_p) = 0 for every p by the test below; None
+    otherwise.
+
+    The test asks that each edge have at most two triangles, that each group
+    of triangles joined across two-triangle edges hold an edge with one
+    triangle, and that V - E + F equal the number of components.  A 2-cycle
+    mod p is +-constant on a group, as the two triangles of an edge cancel
+    there, and vanishes on a group with a one-triangle edge; so H_2(K; Z_p)
+    = 0, and V - E + F = b_0 - b_1 over Z_p says that b_1 = 0.  Coordinates
+    play no part: a closed surface, whose cycles the count would cancel
+    against H_1, fails the group test however it is drawn.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    if cx.dim != 2:
+        return None
+    faces = abs(cx.incidence[2].tocsr())
+    cofaces = np.diff(faces.indptr)
+    if cofaces.max(initial=0) > 2:
+        return None
+    joined = faces[cofaces == 2]
+    n_groups, group = connected_components(joined.T @ joined, directed=False)
+    if np.bincount(group[faces[cofaces == 1].indices], minlength=n_groups).min(initial=1) == 0:
+        return None
+    n_v, (tail, head) = cx.n_simplices(0), cx.simplices[1].T
+    graph = csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n_v, n_v))
+    n_comp, comp = connected_components(graph, directed=False)
+    if n_v - len(tail) + cx.n_simplices(2) != n_comp:
+        return None
+    roots = np.unique(comp, return_index=True)[1]
+    hops, pred, _ = dijkstra(graph, directed=False, indices=roots, unweighted=True,
+                             min_only=True, return_predecessors=True)
+    return hops.astype(np.int64), pred
+
+
+def _plateau_labelling(b: ModPClass, p: int, forest, time_limit: float) -> PlateauSolution:
+    """The Plateau problem for point boundary data on a complex with
+    H_1(K; Z_p) = 0, as ``_labelling_program``.
+
+    S0 carries, along the edge from each vertex of ``forest`` to its
+    predecessor, the multiplicities of the vertex's subtree, so that
+    boundary(S0) = b mod p; a component whose multiplicities do not sum to 0
+    mod p makes the boundary infeasible.  Every chain with boundary b mod p
+    is S0 - boundary(Z) mod p for some 2-chain Z, so the solution minimizes
+    the mass of rep(S0 - boundary(Z)) with Z unpriced.  Another S0 would
+    only relabel Z.
+    """
+    cx = b.representative.complex
+    hops, pred = forest
+    below = b.representative.vector.copy()  # the multiplicities of each subtree
+    for level in range(hops.max(), 0, -1):
+        v = np.flatnonzero(hops == level)
+        np.add.at(below, pred[v], below[v])
+    if np.any(below[pred < 0] % p):
+        raise ValueError("infeasible: the boundary data does not bound mod p")
+    child = np.flatnonzero(pred >= 0)
+    j, sign = cx._find(1, np.c_[pred[child], child])
+    s0 = np.zeros(cx.n_simplices(1), dtype=np.int64)
+    s0[j] = sign * representative_modp(below[child], p)
+    B = cx.incidence[2].tocsr()
+    z, nodes, gap = _labelling_program(B, s0, cx.volumes[1], np.zeros(B.shape[1]), p,
+                                       time_limit)
+    return _plateau_solution(b, p, s0 - B @ z, gap, nodes)
 
 
 def _plateau_milp(b: ModPClass, p: int, time_limit: float) -> PlateauSolution:
@@ -448,6 +553,76 @@ def _modp_program(A, rhs, cost, p: int, time_limit: float):
     x, nodes, gap = _solve_milp(c_obj, A_eq, rhs, rhs, lb, ub, np.ones(2 * n + m), time_limit)
     x = x.astype(np.int64)
     return x[:n] - x[n:2 * n], x[2 * n:], nodes, gap
+
+
+def _labelling_program(B, t, row_cost, col_cost, p: int, time_limit: float):
+    """Minimize sum_e row_cost_e |rep(t_e - (B z)_e)| + sum_f col_cost_f |z_f|
+    over integer z, where rep is the representative in (-p/2, p/2] and each
+    row of the +-1 CSR matrix B has at most two entries.
+
+    The labelling program of Kleinberg and Tardos: column f takes a one-hot
+    label a_f in Z_p with z_f = rep(a_f).  A row with one entry sigma_f is
+    priced linearly in its column's label; a row with two gets p^2 pair
+    variables w_e(a, b) whose marginals are its columns' labels and whose
+    cost is row_cost_e |rep(t_e - sigma_1 a - sigma_2 b)|; a row with none
+    is a constant and left out.  Whether B z = t mod p depends on z mod p
+    alone and rep(a) has the least |z| of its class, so an integral labelling
+    is an optimum of the boxed program of ``_modp_program`` with A = [I | B].
+
+    The program goes to ``_solve_milp`` as an LP.  When every label comes out
+    integral (to 1e-6) the LP optimum is the integer optimum and its own
+    proof; otherwise a second call, within what is left of ``time_limit``,
+    makes the labels integral (the pair variables follow them).  Returns
+    (z, nodes, gap), counting the LP as the root node.
+    """
+    from scipy import sparse
+
+    deadline = time.monotonic() + time_limit
+    n = B.shape[1]
+    labels = np.arange(p)
+    rep = representative_modp(labels, p)
+    t = np.asarray(t, dtype=np.int64)
+    sign = np.rint(B.data).astype(np.int64)
+    entries = np.diff(B.indptr)
+    one, two = (B.indptr[:-1][entries == c] for c in (1, 2))
+    unary = np.outer(col_cost, np.abs(rep))
+    e = np.flatnonzero(entries == 1)
+    np.add.at(unary, B.indices[one], row_cost[e, None] * np.abs(
+        representative_modp(t[e, None] - sign[one, None] * labels, p)))
+    e = np.flatnonzero(entries == 2)
+    pair = row_cost[e, None, None] * np.abs(representative_modp(
+        t[e, None, None] - sign[two, None, None] * labels[:, None]
+        - sign[two + 1, None, None] * labels, p))
+
+    # rows: each column's labels sum to 1; each pair row's marginals
+    # sum_b w(a, b) = u(f1, a) and sum_a w(a, b) = u(f2, b)
+    m, nu = len(e), n * p
+    w = nu + np.arange(m * p * p).reshape(m, p, p)
+    marg = np.arange(m * p).reshape(m, p)
+    row_ids = np.concatenate([
+        np.repeat(np.arange(n), p),
+        np.repeat(n + marg, p, axis=1).ravel(), n + marg.ravel(),
+        np.repeat(n + m * p + marg, p, axis=1).ravel(), n + m * p + marg.ravel()])
+    col_ids = np.concatenate([
+        np.arange(nu),
+        w.ravel(), (B.indices[two, None] * p + labels).ravel(),
+        w.transpose(0, 2, 1).ravel(), (B.indices[two + 1, None] * p + labels).ravel()])
+    vals = np.concatenate([np.ones(nu + m * p * p), -np.ones(m * p),
+                           np.ones(m * p * p), -np.ones(m * p)])
+    A = sparse.csr_matrix((vals, (row_ids, col_ids)), shape=(n + 2 * m * p, nu + m * p * p))
+    rhs = np.concatenate([np.ones(n), np.zeros(2 * m * p)])
+    cost = np.concatenate([unary.ravel(), pair.ravel()])
+    integrality = np.zeros(len(cost))
+    x, _, gap = _solve_milp(cost, A, rhs, rhs, 0.0, 1.0, integrality, time_limit)
+    u = x[:nu].reshape(n, p)
+    nodes = 1
+    if np.abs(u - np.round(u)).max(initial=0.0) > 1e-6:
+        integrality[:nu] = 1
+        x, more, gap = _solve_milp(cost, A, rhs, rhs, 0.0, 1.0, integrality,
+                                   max(deadline - time.monotonic(), 0.0))
+        u = x[:nu].reshape(n, p)
+        nodes += more
+    return rep[np.argmax(u, axis=1)], nodes, gap
 
 
 def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = None) -> float:

@@ -439,3 +439,234 @@ def test_localized_program_matches_brute_oracle_with_regions():
         dec = modp.flat_norm_modp(t, p, W)
         assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3, W), abs=1e-8)
         assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
+
+
+def _labelled_value(B, t, row_cost, col_cost, p, z):
+    rest = t - np.rint(B @ z).astype(np.int64)
+    return float(row_cost @ np.abs(modp.representative_modp(rest, p)) + col_cost @ np.abs(z))
+
+
+def _boxed_value(B, t, row_cost, col_cost, p):
+    # the same program as _modp_program with A = [I | B], its witness checked
+    from scipy import sparse
+
+    A = sparse.hstack([sparse.eye(B.shape[0]), B]).tocsr()
+    x, y, _, gap = flatnorm._modp_program(A, t.astype(float), np.r_[row_cost, col_cost], p,
+                                          math.inf)
+    assert gap < 1e-6
+    assert np.array_equal(np.rint(A @ x).astype(np.int64) - p * y, t)
+    assert np.abs(x).max(initial=0) <= p // 2
+    return float(np.r_[row_cost, col_cost] @ np.abs(x))
+
+
+def _recorded_programs(monkeypatch):
+    # every labelling program solved from here on, with its answer
+    programs = []
+    solve = flatnorm._labelling_program
+
+    def record(*args):
+        out = solve(*args)
+        programs.append((args, out))
+        return out
+
+    monkeypatch.setattr(flatnorm, "_labelling_program", record)
+    return programs
+
+
+def test_labelling_program_matches_the_boxed_program_on_flat_norms(taylor_p3, monkeypatch):
+    # seeded strip_complex(32) chains and the four localized ladder programs
+    # of taylor_p3: each labelling program has the boxed program's value,
+    # and its witness has values in (-p/2, p/2]
+    programs = _recorded_programs(monkeypatch)
+    cx = fixtures.strip_complex(32)
+    rng = np.random.default_rng(2929)
+    for i in range(9):
+        p = (2, 3, 5)[i % 3]
+        t = random_chain(rng, cx, 1, lo=-1, hi=1, density=0.3)
+        dec = modp.flat_norm_modp(t, p)
+        assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
+        assert dec.optimality_gap == 0.0
+    strips = len(programs)
+    assert strips >= 9
+    decs = modp.taylor._flat_ladder(taylor_p3, taylor_p3.singular_circles[0],
+                                    [0.2, 0.1, 0.05, 0.025])
+    assert len(programs) == strips + 4 and all(dec.optimality_gap == 0.0 for dec in decs)
+    for (B, t, row_cost, col_cost, p, _), (z, _, gap) in programs:
+        assert gap == 0.0 and np.all((-p / 2 < z) & (z <= p / 2))
+        assert _labelled_value(B, t, row_cost, col_cost, p, z) == pytest.approx(
+            _boxed_value(B, t, row_cost, col_cost, p), abs=1e-9)
+
+
+def _seeded_boundary(cx, seed):
+    # T distinct random vertices, multiplicities in [1, p), the last one
+    # balancing the sum mod p
+    rng = np.random.default_rng(seed)
+    p = (2, 3, 5)[seed % 3]
+    pts = rng.choice(cx.n_simplices(0), int(rng.integers(9, 15)), replace=False)
+    mult = [int(m) for m in rng.integers(1, p, len(pts))]
+    mult[-1] = (mult[-1] - sum(mult)) % p
+    return modp.reduce_modp(modp.IntegerChain(cx, 0, dict(zip(pts.tolist(), mult))), p)
+
+
+@pytest.mark.parametrize("seed,fractional", [(0, True), (19, True), (39, True), (84, True),
+                                             (8, False), (12, False), (16, False), (29, False)])
+def test_labelling_plateau_matches_the_boxed_program(seed, fractional, monkeypatch):
+    # 9 to 14 points on disk_mesh(0.25), p = 2, 3 and 5; a fractional LP
+    # (seed 19: 3.875 against 4) takes one more call, with integral labels,
+    # and lands on the boxed program's value
+    cx, _ = fixtures.disk_mesh(0.25)
+    b = _seeded_boundary(cx, seed)
+    assert len(b.representative.coeffs) > 8
+    calls = []
+    solve = flatnorm._solve_milp
+    monkeypatch.setattr(flatnorm, "_solve_milp",
+                        lambda *a: calls.append(a[6].any()) or solve(*a))
+    sol = modp.plateau_modp(b, b.p)
+    assert calls == ([False, True] if fractional else [False])
+    milp = flatnorm._plateau_milp(b, b.p, 120.0)
+    assert sol.mass == pytest.approx(milp.mass, abs=1e-9)
+    assert sol.optimality_gap < 1e-6 and milp.optimality_gap < 1e-6
+    for s in (sol, milp):
+        assert modp.reduce_modp(modp.boundary(s.chain), b.p) == b
+
+
+def test_labelling_plateau_on_two_disks(monkeypatch):
+    # ten points, five on each of two disjoint disks: balanced on each disk,
+    # the value is the sum of the two disks' values; balanced only across
+    # them, infeasible (the boxed program ran into a 120 s limit on this)
+    def no_boxed(*args):
+        raise AssertionError("the boxed program was called")
+
+    monkeypatch.setattr(flatnorm, "_plateau_milp", no_boxed)
+    cx, _ = fixtures.disk_mesh(0.25)
+    n = cx.n_simplices(0)
+    both = modp.SimplicialComplex(np.r_[cx.vertices, cx.vertices + [3.0, 0.0]],
+                                  {k: np.r_[cx.simplices[k], cx.simplices[k] + n]
+                                   for k in (1, 2)})
+    pts = [3, 11, 20, 38, 52]
+    left, right = dict(zip(pts, [1, 1, 2, 1, 1])), dict(zip(pts, [2, 2, 1, 2, 2]))
+    b = modp.reduce_modp(modp.IntegerChain(
+        both, 0, {**left, **{v + n: m for v, m in right.items()}}), 3)
+    sol = modp.plateau_modp(b, 3)
+    alone = [modp.plateau_modp(modp.reduce_modp(modp.IntegerChain(cx, 0, c), 3), 3).mass
+             for c in (left, right)]
+    assert sol.mass == pytest.approx(sum(alone), abs=1e-9)
+    assert modp.reduce_modp(modp.boundary(sol.chain), 3) == b
+    # five 1s on the left (2 mod 3) and five 2s on the right (1 mod 3)
+    across = modp.reduce_modp(modp.IntegerChain(
+        both, 0, {**dict.fromkeys(pts, 1), **dict.fromkeys([v + n for v in pts], 2)}), 3)
+    with pytest.raises(ValueError, match="infeasible: the boundary data does not bound mod p"):
+        modp.plateau_modp(across, 3)
+
+
+def test_plateau_on_a_disk_with_a_hole_takes_the_boxed_program(monkeypatch):
+    # disk_mesh(0.25) without its middle triangle has V - E + F = 0 but one
+    # component, so H_1 != 0: the optimum here winds around the hole, where
+    # S0 - boundary(Z) cannot reach, and the labelling program would read
+    # 2.75 for this 10-point boundary mod 3 where the optimum is 2.25
+    disk, _ = fixtures.disk_mesh(0.25)
+    middle = disk.vertices[disk.simplices[2]].mean(axis=1)
+    hole = int(np.argmin(np.linalg.norm(middle, axis=1)))
+    cx = modp.SimplicialComplex(disk.vertices, {1: disk.simplices[1],
+                                                2: np.delete(disk.simplices[2], hole, axis=0)})
+    assert flatnorm._acyclic_forest(cx) is None
+    near = np.argsort(np.linalg.norm(disk.vertices - middle[hole], axis=1))[:30]
+    rng = np.random.default_rng(4)
+    pts = rng.choice(near, 10, replace=False).tolist()
+    mult = [int(m) for m in rng.integers(1, 3, 10)]
+    mult[-1] = (mult[-1] - sum(mult)) % 3
+    b = modp.reduce_modp(modp.IntegerChain(cx, 0, dict(zip(pts, mult))), 3)
+    boxed = []
+    solve = flatnorm._plateau_milp
+    monkeypatch.setattr(flatnorm, "_plateau_milp", lambda *a: boxed.append(a) or solve(*a))
+    sol = modp.plateau_modp(b, 3)
+    assert len(boxed) == 1
+    assert sol.mass == pytest.approx(2.25, abs=1e-9)
+    assert sol.mass == pytest.approx(solve(b, 3, 120.0).mass, abs=1e-9)
+    # the disk's trees have the same edges: the labelling program on them
+    wrong = flatnorm._plateau_labelling(b, 3, flatnorm._acyclic_forest(disk), math.inf)
+    assert wrong.mass == pytest.approx(2.75, abs=1e-9)
+
+
+def test_integral_lp_proves_the_flat_norm_exactly():
+    # the 40 seeded strip_complex(4) chains of the oracle test: each labelling
+    # LP is integral, so the value is the oracle's to 1e-12 with gap 0
+    cx = fixtures.strip_complex(4)
+    rng = np.random.default_rng(2040)
+    for i in range(40):
+        p = (2, 3, 5)[i % 3]
+        t = random_chain(rng, cx, 1, lo=-2, hi=2)
+        dec = modp.flat_norm_modp(t, p)
+        assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3), abs=1e-12)
+        assert dec.optimality_gap == 0.0
+
+
+def _sphere_with_a_loop(n):
+    # the boundary of a tetrahedron, drawn in the plane with overlapping
+    # triangles, and a loop of n edges through new vertices at vertex 0:
+    # one component and V - E + F = 1, but H_1 = H_2 = Z
+    ang = np.linspace(0, 2 * np.pi, n, endpoint=False)[1:]
+    ang = ang + 0.15 * np.sin(3 * ang)
+    vertices = np.r_[[(0, 0), (1, 0), (0.5, 1), (0.5, 0.3)],
+                     np.c_[np.cos(ang) - 1, np.sin(ang)]]
+    ring = [0, *range(4, n + 3), 0]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             *(sorted(ring[i:i + 2]) for i in range(n))]
+    return modp.SimplicialComplex(vertices, {1: np.array(edges),
+                                             2: np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                                          (1, 2, 3)])})
+
+
+def test_plateau_on_a_sphere_with_a_loop_takes_the_boxed_program():
+    # the count V - E + F alone would pass this complex, and S0 - boundary(Z)
+    # is then fixed on the loop, where a 9-point boundary mod 3 would read
+    # 4.79 against the optimum 3.39; the sphere has no one-triangle edge,
+    # so the H_1 check sends it to the boxed program
+    cx = _sphere_with_a_loop(12)
+    assert cx.n_simplices(0) - cx.n_simplices(1) + cx.n_simplices(2) == 1
+    assert flatnorm._acyclic_forest(cx) is None
+    b = modp.reduce_modp(modp.IntegerChain(cx, 0, dict.fromkeys([0, 4, 5, 7, 8, 9, 10, 11, 12],
+                                                                1)), 3)
+    sol = modp.plateau_modp(b, 3)
+    assert sol.mass == pytest.approx(flatnorm._plateau_milp(b, 3, 120.0).mass, abs=1e-9)
+    assert sol.mass == pytest.approx(3.3866036499326406, abs=1e-9)
+    assert modp.reduce_modp(modp.boundary(sol.chain), 3) == b
+
+
+def test_a_closed_surface_fails_the_h1_check():
+    # the six-vertex projective plane: V - E + F = 1 on one component, and
+    # H_1 = Z_2 mod 2; every edge has two triangles, so no group is open
+    faces = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4),
+                      (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+    edges = np.unique(np.sort(faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1), axis=0)
+    angle = np.arange(6) * np.pi / 3
+    cx = modp.SimplicialComplex(np.c_[np.cos(angle), np.sin(angle)], {1: edges, 2: faces})
+    assert (6, 15, 10) == tuple(cx.n_simplices(k) for k in range(3))
+    assert np.all(np.diff(cx.incidence[2].tocsr().indptr) == 2)
+    assert flatnorm._acyclic_forest(cx) is None
+    # the disk still passes it: its rim edges have one triangle
+    assert flatnorm._acyclic_forest(fixtures.disk_mesh(0.25)[0]) is not None
+
+
+def test_larger_p_takes_the_boxed_program(monkeypatch):
+    # the labelling program has p^2 pair variables per face: flat norms use
+    # it up to p = 5 and Plateau problems up to p = 13, the boxed program
+    # beyond; the p = 7 flat norms still match the oracle
+    programs = _recorded_programs(monkeypatch)
+    cx = fixtures.strip_complex(4)
+    rng = np.random.default_rng(7)
+    for p in (5, 7, 11):
+        t = random_chain(rng, cx, 1, lo=-3, hi=3)
+        dec = modp.flat_norm_modp(t, p)
+        assert len(programs) == (p == 5)
+        programs.clear()
+        if p == 7:
+            assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3), abs=1e-9)
+    engines = []
+    monkeypatch.setattr(flatnorm, "_plateau_labelling", lambda *a: engines.append("labelling"))
+    monkeypatch.setattr(flatnorm, "_plateau_milp", lambda *a: engines.append("boxed"))
+    disk, _ = fixtures.disk_mesh(0.25)
+    for p in (13, 17):
+        modp.plateau_modp(modp.reduce_modp(modp.IntegerChain(
+            disk, 0, dict.fromkeys(range(1, 10), 1) | {10: p - 9}), p), p)
+    assert engines == ["labelling", "boxed"]

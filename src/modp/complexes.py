@@ -11,11 +11,18 @@ The k-simplices are one read-only ``(n, k+1)`` int64 array of vertex
 indices per degree; the order of a row fixes the orientation.  Each input
 check is an array test over a degree, each degree's volumes come from one
 batched Gram determinant and orientation signs from ``_parity``.  ``_find``
-looks simplices up by one ``np.searchsorted`` over a degree's rows, sorted
-once at construction; it finds each simplex's faces and their signs, and
-boundary-of-boundary = 0 is checked on them as a self-test of the signs.
-The sparse incidence matrices, which the integer programs take, are built
-from the same faces on first access, so that a complex loads no scipy.
+looks simplices up by int64 keys, one ``np.searchsorted`` per degree from 1
+to the one asked for: the key of a k-simplex (k >= 1) with sorted vertices
+v_0 < ... < v_k is i * n_vertices + v_k, i the index of (v_0, ..., v_{k-1})
+among the (k-1)-simplices, and the key of a vertex is its index.  A key is
+below n_{k-1} * n_vertices, which no complex that fits in memory brings
+near 2^63, and distinct simplices have distinct keys.  Each degree's keys
+are sorted once at construction, where a repeated simplex shows as two
+equal neighbours.  ``_find`` gives each simplex's faces and their signs,
+and boundary-of-boundary = 0 is checked on them as a self-test of the
+signs.  The sparse incidence matrices, which the integer programs take,
+are built from the same faces on first access, so that a complex loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -54,13 +61,6 @@ def _parity(s: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _row_keys(s: np.ndarray) -> np.ndarray:
-    """Each row sorted, as one big-endian byte string: for indices >= 0 these
-    order like the sorted rows, lexicographically."""
-    rows = np.ascontiguousarray(np.sort(s, axis=1), dtype=">i8")
-    return rows.view(f"S{rows.itemsize * s.shape[1]}").ravel()
-
-
 class SimplicialComplex:
     """Finite oriented simplicial complex in R^d, d <= 4.
 
@@ -95,15 +95,8 @@ class SimplicialComplex:
         self.dim = max(self.simplices)
 
         self.volumes: dict[int, np.ndarray] = {}
-        # each degree's row keys and sort order for ``_find``; the rows are read-only
-        self._sorted_keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k, s in self.simplices.items():
             s.flags.writeable = False
-            keys = _row_keys(s)
-            self._sorted_keys[k] = keys, np.argsort(keys, kind="stable")
-            # a repeated simplex is found at the index of its first copy
-            if not np.array_equal(self._find(k, s)[0], np.arange(len(s))):
-                raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
             edges = self.vertices[s[:, 1:]] - self.vertices[s[:, :1]]
             det = np.linalg.det(edges @ edges.transpose(0, 2, 1))
             vols = np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
@@ -114,6 +107,9 @@ class SimplicialComplex:
         # to_json writes the volumes of a degree only where they differ from these
         self._geometric_volumes = {k: v.copy() for k, v in self.volumes.items()}
 
+        # each degree's sorted keys and the simplex index of each, for
+        # ``_find``; a vertex's key is its index, already in order
+        self._keys: dict[int, tuple[np.ndarray, np.ndarray]] = {0: (np.arange(nv),) * 2}
         # faces[k] = (rows, signs), each (k+1, n_k): the index of the face of each
         # k-simplex opposite its vertex i, and the incidence sign (-1)^i times
         # the face's orientation sign
@@ -125,8 +121,17 @@ class SimplicialComplex:
             if not sign.all():
                 face = tuple(faces[np.argmax(sign == 0)].tolist())
                 raise ValueError(f"face {face} of a {k}-simplex missing from the complex")
+            rows = rows.reshape(k + 1, len(s))
             signs = sign.reshape(k + 1, len(s)) * (-1) ** np.arange(k + 1)[:, None]
-            self._faces[k] = rows.reshape(k + 1, len(s)), signs
+            self._faces[k] = rows, signs
+            # the face opposite the largest vertex holds the others
+            top, each = np.argmax(s, axis=1), np.arange(len(s))
+            keys = rows[top, each] * nv + s[each, top]
+            order = np.argsort(keys)
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError(f"duplicate {k}-simplex (up to vertex order)")
+            self._keys[k] = keys, order
 
         # boundary-of-boundary = 0: each (k-2)-face of a k-simplex is reached
         # twice, once for each order of dropping its two vertices, with
@@ -155,14 +160,29 @@ class SimplicialComplex:
         """(index, sign) of the k-simplex with the vertices of each row of the
         ``(m, k+1)`` array ``rows``: sign +1 or -1 as the row is an even or odd
         permutation of it, and index 0, sign 0 where there is none."""
-        stored = self.simplices.get(k, np.zeros((0, k + 1), dtype=np.int64))
-        if not len(stored):
-            return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
-        keys, order = self._sorted_keys[k]
-        wanted = _row_keys(rows)
-        j = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(order) - 1)]
-        sign = np.where(keys[j] == wanted, _parity(rows) * _parity(stored[j]), 0)
-        return np.where(sign != 0, j, 0), sign
+        j, found = self._lookup(k, np.sort(rows, axis=1))
+        if not found.any():
+            return j, np.zeros(len(rows), dtype=np.int64)
+        return j, np.where(found, _parity(rows) * _parity(self.simplices[k][j]), 0)
+
+    def _lookup(self, k: int, srt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index, found) of the k-simplex of each row of ``srt``, whose
+        vertices increase along the row; index 0 where it is not found.  A
+        row is found through its first k vertices, as a (k-1)-simplex."""
+        if k not in self._keys or not len(self._keys[k][0]):
+            return np.zeros(len(srt), dtype=np.int64), np.zeros(len(srt), dtype=bool)
+        nv = len(self.vertices)
+        last = srt[:, -1]
+        if k == 0:
+            found = (last >= 0) & (last < nv)
+            return np.where(found, last, 0), found
+        keys, index = self._keys[k]
+        face, found = self._lookup(k - 1, srt[:, :-1])
+        found &= last < nv
+        key = np.where(found, face * nv + last, -1)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        found &= keys[at] == key
+        return np.where(found, index[at], 0), found
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices.get(k, ()))

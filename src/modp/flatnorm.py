@@ -317,13 +317,18 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     support (pushing a unit around any cycle of the support is mass
     non-increasing in one direction), and on a tree the coefficient of an
     edge is the reduced sum of the terminal multiplicities it cuts off.
-    Minimal forests are found by Dreyfus-Wagner dynamic programming over
-    terminal subsets s, with ``cost[s]`` one row of a (2^T, n_v) array: the
-    least ``cost[s1] + cost[s2]`` over splits of s, then one Dijkstra pass
-    from a virtual source joined to each vertex at that cost, with edge
-    lengths scaled by the residue s carries.  A subset whose multiplicities
-    balance mod p is a finished forest that may lie anywhere, in any
+    Minimal forests are found by Dreyfus-Wagner dynamic programming, rooted
+    at the last terminal: over the subsets s of the other terminals, with
+    ``cost[s]`` one row of a (2^(T-1), n_v) array, the least mass of a
+    forest with boundary b_s - res(s) at v, res(s) the residue mod p that s
+    carries.  A row is the least ``cost[s1] + cost[s2]`` over splits of s,
+    then one Dijkstra pass from a virtual source joined to each vertex at
+    that cost, with edge lengths scaled by |res(s)|.  A subset that
+    balances mod p is a finished forest that may lie anywhere, in any
     component: its row is its minimum, reached by a jump to the argmin.
+    The set S of all other terminals carries res(S) = -b_last, so the
+    optimum is ``cost[S][last]``; it is infinite when the multiplicities
+    balance only across components.  ``nodes`` counts the 2^(T-1) rows.
     The witness is one minimal forest, listed in edge-index order.
     """
     from scipy.sparse import csr_matrix
@@ -331,13 +336,14 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
 
     cx = b.representative.complex
     terminals = np.flatnonzero(b.representative.vector)
-    n_v = cx.n_simplices(0)
-    full = (1 << len(terminals)) - 1
-    bits = np.arange(full + 1)[:, None] >> np.arange(len(terminals)) & 1
-    residue = representative_modp(bits @ b.representative.vector[terminals], p).tolist()
+    mult = b.representative.vector[terminals]
     infeasible = ValueError("infeasible: the boundary data does not bound mod p")
-    if residue[full] != 0:
+    if mult.sum() % p:
         raise infeasible
+    n_v, last = cx.n_simplices(0), int(terminals[-1])
+    full = (1 << (len(terminals) - 1)) - 1  # S, every terminal but the last
+    bits = np.arange(full + 1)[:, None] >> np.arange(len(terminals) - 1) & 1
+    residue = representative_modp(bits @ mult[:-1], p).tolist()
 
     # both directions of each edge at residue 1; row n_v is the virtual source
     tail, head = cx.simplices[1].T
@@ -348,7 +354,7 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
     cost = np.full((full + 1, n_v), np.inf)
     split = np.zeros((full + 1, n_v), dtype=np.int32)  # s1 of the best merge
     pred = np.full((full + 1, n_v), -1, dtype=np.int32)  # (s, v) extends (s, pred)
-    for i, t in enumerate(terminals):
+    for i, t in enumerate(terminals[:-1]):
         cost[1 << i, t] = 0.0
 
     for s in range(1, full + 1):
@@ -377,12 +383,11 @@ def _plateau_steiner_dp(b: ModPClass, p: int) -> PlateauSolution:
         row[better] = dist[:n_v][better]
         pred[s, better] = via[:n_v][better]
 
-    root = int(np.argmin(cost[full]))
-    if cost[full, root] == np.inf:  # some component's terminals do not balance
+    if cost[full, last] == np.inf:  # some component's terminals do not balance
         raise infeasible
 
     forest = []  # rows (v, u, residue[s]): the forest carries residue[s] along edge (v, u)
-    stack = [(full, root)]
+    stack = [(full, last)]
     while stack:
         s, v = stack.pop()
         u = int(pred[s, v])
@@ -423,7 +428,10 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
     goes to the boxed program of ``_modp_program`` (``_plateau_milp``).  A
     program's solve stops after ``time_limit`` seconds, which must be >= 0
     whichever engine runs.  The choice depends on the complex, the boundary
-    and p alone.
+    and p alone.  A point boundary that does not sum to 0 mod p on each
+    component of the edge graph raises ``ValueError`` before any program:
+    the boxed program can take seconds, or its whole time limit, to find
+    that it has no solution.
     """
     check_modulus(p)
     _check_time_limit(time_limit)
@@ -435,14 +443,28 @@ def plateau_modp(b: ModPClass, p: int, time_limit: float = 120.0) -> PlateauSolu
         raise ValueError("no simplices one degree above the boundary class")
     if b.representative.is_zero():
         return PlateauSolution(cx.chain(k), 0.0, b, 0.0, nodes=0)
-    if b.degree == 0 and np.count_nonzero(b.representative.vector) <= 8:
-        return _plateau_steiner_dp(b, p)
+    if b.degree == 0:
+        if np.count_nonzero(b.representative.vector) <= 8:
+            return _plateau_steiner_dp(b, p)
+        if np.any(np.bincount(_edge_components(cx)[1], b.representative.vector) % p):
+            raise ValueError("infeasible: the boundary data does not bound mod p")
     # p^2 pair variables per edge: from p = 17 on, some boundaries solved
     # faster as the boxed program, and at p = 31 most did
     forest = _acyclic_forest(cx) if b.degree == 0 and p <= 13 else None
     if forest is not None:
         return _plateau_labelling(b, p, forest, time_limit)
     return _plateau_milp(b, p, time_limit)
+
+
+def _edge_components(cx: SimplicialComplex):
+    """The edge graph of ``cx``, one CSR entry per edge, and the component
+    label of each vertex."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_v, (tail, head) = cx.n_simplices(0), cx.simplices[1].T
+    graph = csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n_v, n_v))
+    return graph, connected_components(graph, directed=False)[1]
 
 
 def _acyclic_forest(cx: SimplicialComplex):
@@ -460,7 +482,6 @@ def _acyclic_forest(cx: SimplicialComplex):
     play no part: a closed surface, whose cycles the count would cancel
     against H_1, fails the group test however it is drawn.
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, dijkstra
 
     if cx.dim != 2:
@@ -473,12 +494,10 @@ def _acyclic_forest(cx: SimplicialComplex):
     n_groups, group = connected_components(joined.T @ joined, directed=False)
     if np.bincount(group[faces[cofaces == 1].indices], minlength=n_groups).min(initial=1) == 0:
         return None
-    n_v, (tail, head) = cx.n_simplices(0), cx.simplices[1].T
-    graph = csr_matrix((np.ones(len(tail)), (tail, head)), shape=(n_v, n_v))
-    n_comp, comp = connected_components(graph, directed=False)
-    if n_v - len(tail) + cx.n_simplices(2) != n_comp:
-        return None
+    graph, comp = _edge_components(cx)
     roots = np.unique(comp, return_index=True)[1]
+    if cx.n_simplices(0) - cx.n_simplices(1) + cx.n_simplices(2) != len(roots):
+        return None
     hops, pred, _ = dijkstra(graph, directed=False, indices=roots, unweighted=True,
                              min_only=True, return_predecessors=True)
     return hops.astype(np.int64), pred
@@ -490,8 +509,8 @@ def _plateau_labelling(b: ModPClass, p: int, forest, time_limit: float) -> Plate
 
     S0 carries, along the edge from each vertex of ``forest`` to its
     predecessor, the multiplicities of the vertex's subtree, so that
-    boundary(S0) = b mod p; a component whose multiplicities do not sum to 0
-    mod p makes the boundary infeasible.  Every chain with boundary b mod p
+    boundary(S0) = b mod p, as the multiplicities sum to 0 mod p on each
+    component (``plateau_modp`` checks that).  Every chain with boundary b mod p
     is S0 - boundary(Z) mod p for some 2-chain Z, so the solution minimizes
     the mass of rep(S0 - boundary(Z)) with Z unpriced.  Another S0 would
     only relabel Z.
@@ -502,8 +521,6 @@ def _plateau_labelling(b: ModPClass, p: int, forest, time_limit: float) -> Plate
     for level in range(hops.max(), 0, -1):
         v = np.flatnonzero(hops == level)
         np.add.at(below, pred[v], below[v])
-    if np.any(below[pred < 0] % p):
-        raise ValueError("infeasible: the boundary data does not bound mod p")
     child = np.flatnonzero(pred >= 0)
     j, sign = cx._find(1, np.c_[pred[child], child])
     s0 = np.zeros(cx.n_simplices(1), dtype=np.int64)

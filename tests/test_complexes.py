@@ -162,7 +162,8 @@ def test_simplex_index_of_missing_simplex_raises_key_error(vertices):
 
 
 def test_lookups_sort_nothing_after_construction(monkeypatch):
-    # each degree's rows are sorted once, at construction; a lookup only searches
+    # each degree's keys are sorted once, at construction (a vertex's key is
+    # its index, already in order); a lookup only searches
     argsort = np.argsort
     calls = []
 
@@ -172,7 +173,7 @@ def test_lookups_sort_nothing_after_construction(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counting)
     cx, _ = fixtures.disk_mesh(0.3)
-    assert len(calls) == len(cx.simplices)
+    assert len(calls) == len(cx.simplices) - 1
     calls.clear()
     for k in (1, 2):
         for row in cx.simplices[k][:50]:
@@ -211,6 +212,37 @@ def test_lookup_does_not_overflow_on_high_vertex_indices():
     assert modp.boundary(modp.boundary(cx.chain(4, {0: 1}))).is_zero()
     with pytest.raises(KeyError):
         cx.simplex_index((0, nv - 1))
+
+
+def test_lookup_finds_every_face_of_two_4_simplices_on_8000_vertices():
+    # 4503 * 8000^4 > 2^63: a key that packs the five sorted vertices of a
+    # 4-simplex in base 8000 wraps, and (0, 1, 4647, 7106, 7107) then lands
+    # on the key of (4503, 4798, 4799, 4800, 6723), 2^64 away.  Two
+    # 4-simplices on a shared tetrahedron, their rows out of order
+    nv = 8000
+    vertices = np.random.default_rng(1).normal(size=(nv, 4))
+    tops = [(4800, 4503, 6723, 4799, 4798), (4799, 5555, 4503, 4800, 4798)]
+    simplices = {}
+    for k in range(1, 5):  # each face once, in the order of its first top
+        faces = {tuple(sorted(f)): f
+                 for t in tops[::-1] for f in itertools.combinations(t, k + 1)}
+        simplices[k] = sorted(faces.values(), key=sorted)
+    cx = modp.SimplicialComplex(vertices, simplices)
+    assert cx.n_simplices(3) == 9 and cx.n_simplices(4) == 2
+    for k, rows in simplices.items():
+        for j, row in enumerate(rows):
+            for query in itertools.permutations(row):
+                want = _inversion_sign(query) * _inversion_sign(row)
+                assert cx.simplex_index(query) == (j, want)
+                back = query[::-1]
+                assert cx.simplex_index(back) == (j, _inversion_sign(back) * _inversion_sign(row))
+    # the first four have a present first face once sorted, so only their
+    # last vertex tells them apart
+    for missing in [(5555, 6723), (4503, 5555, 6723), (4503, 4798, 5555, 6723),
+                    (6723, 5555, 4799, 4798, 4503), (7107, 0, 4647, 1, 7106),
+                    (0, nv), (-1, 4503), (4503, 4798, 4798)]:
+        with pytest.raises(KeyError):
+            cx.simplex_index(missing)
 
 
 _CHAIN = fixtures.triangle_complex()[1]

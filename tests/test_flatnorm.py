@@ -540,9 +540,7 @@ def test_labelling_plateau_on_two_disks(monkeypatch):
     monkeypatch.setattr(flatnorm, "_plateau_milp", no_boxed)
     cx, _ = fixtures.disk_mesh(0.25)
     n = cx.n_simplices(0)
-    both = modp.SimplicialComplex(np.r_[cx.vertices, cx.vertices + [3.0, 0.0]],
-                                  {k: np.r_[cx.simplices[k], cx.simplices[k] + n]
-                                   for k in (1, 2)})
+    both = _two_disks(cx)
     pts = [3, 11, 20, 38, 52]
     left, right = dict(zip(pts, [1, 1, 2, 1, 1])), dict(zip(pts, [2, 2, 1, 2, 2]))
     b = modp.reduce_modp(modp.IntegerChain(
@@ -557,6 +555,68 @@ def test_labelling_plateau_on_two_disks(monkeypatch):
         both, 0, {**dict.fromkeys(pts, 1), **dict.fromkeys([v + n for v in pts], 2)}), 3)
     with pytest.raises(ValueError, match="infeasible: the boundary data does not bound mod p"):
         modp.plateau_modp(across, 3)
+
+
+def _two_disks(cx):
+    # two disjoint copies of cx, the second shifted right by 3 and numbered after the first
+    n = cx.n_simplices(0)
+    return modp.SimplicialComplex(np.r_[cx.vertices, cx.vertices + [3.0, 0.0]],
+                                  {k: np.r_[cx.simplices[k], cx.simplices[k] + n]
+                                   for k in (1, 2)})
+
+
+def test_plateau_balanced_only_across_disks_is_infeasible_before_any_program(monkeypatch):
+    # p = 17 goes to the boxed program, which takes seconds to prove that a
+    # boundary summing to 0 mod p only across the two disks has no solution,
+    # or stops at its time limit first and raises RuntimeError
+    def no_program(*args):
+        raise AssertionError("a program was solved")
+
+    monkeypatch.setattr(flatnorm, "_solve_milp", no_program)
+    cx, _ = fixtures.disk_mesh(0.25)
+    n = cx.n_simplices(0)
+    pts = [3, 11, 20, 38, 52]
+    across = modp.reduce_modp(modp.IntegerChain(_two_disks(cx), 0, {
+        **dict.fromkeys(pts, 1), **dict.fromkeys([v + n for v in pts], 16)}), 17)
+    with pytest.raises(ValueError, match="infeasible: the boundary data does not bound mod p"):
+        modp.plateau_modp(across, 17, time_limit=5)
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one_disk", "two_disks"])
+def test_rooted_steiner_dp_matches_the_labelling_program(two):
+    # 2 to 8 points, p = 2, 3, 5 and 7; on two disks each disk's points
+    # balance on their own, and the DP's root (the last terminal, on the
+    # second disk) lies with the fewer points
+    disk, _ = fixtures.disk_mesh(0.25)
+    cx = _two_disks(disk) if two else disk
+    forest = flatnorm._acyclic_forest(cx)
+    n = disk.n_simplices(0)
+    rng = np.random.default_rng(3030 + two)
+    for i in range(16):
+        p = (2, 3, 5, 7)[i % 4]
+        if two:
+            right = 2 if p == 2 else int(rng.integers(2, 4))
+            left = int(rng.choice(range(right + 1 + (p == 2), 9 - right, 1 + (p == 2))))
+            counts = (left, right)
+        else:
+            counts = (int(rng.integers(1, 5)) * 2 if p == 2 else int(rng.integers(2, 9)),)
+        coeffs = {}
+        for shift, count in zip((0, n), counts):
+            part = _random_boundary(rng, disk, p, count).representative.coeffs
+            coeffs.update({v + shift: m for v, m in part.items()})
+        b = modp.reduce_modp(modp.IntegerChain(cx, 0, coeffs), p)
+        dp = flatnorm._plateau_steiner_dp(b, p)
+        assert dp.nodes == 2 ** (len(coeffs) - 1)
+        labelling = flatnorm._plateau_labelling(b, p, forest, math.inf)
+        assert dp.mass == pytest.approx(labelling.mass, abs=1e-9)
+        assert labelling.optimality_gap < 1e-6
+        assert modp.reduce_modp(modp.boundary(dp.chain), p) == b
+        if two:  # one multiplicity moved across: balanced only across the disks
+            first, moved = min(coeffs), max(coeffs)
+            shifted = modp.reduce_modp(modp.IntegerChain(
+                cx, 0, {**coeffs, first: coeffs[first] + 1, moved: coeffs[moved] - 1}), p)
+            with pytest.raises(ValueError, match="infeasible"):
+                flatnorm._plateau_steiner_dp(shifted, p)
 
 
 def test_plateau_on_a_disk_with_a_hole_takes_the_boxed_program(monkeypatch):

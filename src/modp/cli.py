@@ -45,6 +45,9 @@ def _parse_floats(text):
 
 
 def _region_from_json(data):
+    if not (isinstance(data, dict) and all(
+            isinstance(v, list) and all(type(i) is int for i in v) for v in data.values())):
+        raise ValueError("region must map each degree to a list of simplex indices")
     return {int(k): set(v) for k, v in data.items()}
 
 

@@ -50,9 +50,13 @@ Region = Optional[dict]
 
 
 def _region_indices(W: Region, complex: SimplicialComplex, degree: int) -> np.ndarray:
+    n = complex.n_simplices(degree)
     if W is None:
-        return np.arange(complex.n_simplices(degree))
-    return np.unique(np.fromiter(W.get(degree, ()), dtype=np.int64))
+        return np.arange(n)
+    index = np.unique(np.fromiter(W.get(degree, ()), dtype=np.int64))
+    if len(index) and not 0 <= index[0] <= index[-1] < n:
+        raise ValueError(f"simplex index out of range in degree {degree}")
+    return index
 
 
 def restrict_to_region(c: IntegerChain, W: Region) -> IntegerChain:
@@ -652,6 +656,14 @@ def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = Non
     of the least value so far is evaluated again on its own, with the sums
     in one fixed order; the minimum is taken over those.
     """
+    from operator import index
+
+    try:
+        bound = index(bound)
+    except TypeError:
+        bound = -1
+    if bound < 0:
+        raise ValueError("bound must be an integer >= 0")
     cx = T.complex
     k = T.degree
     has_z = k + 1 <= cx.dim

@@ -12,7 +12,6 @@ area: the shipped -40/0/40 example is heavier than three flat disks.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,9 +482,8 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
     fixed ``LADDER_GRID_N``-square triangulated grid, localized away from the
     clipping boundary; ``flat_gap`` is that flat norm's ``optimality_gap``,
     positive when its solve stopped at the time limit (both are None without
-    the flat ladder).  The rungs of the flat ladder are independent integer
-    programs and run concurrently, one thread per rung up to the number of
-    CPUs this process may use; there is no option for it.
+    the flat ladder).  The rungs of the flat ladder are solved one after
+    another, from the largest radius down.
     """
     q = np.asarray(q, dtype=float)
     circle = _nearest_circle(R, q)
@@ -511,21 +509,8 @@ def decay_scan(R: RevolvedCurrent, q, radii, with_flat: bool = True) -> list:
 LADDER_GRID_N = 32
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _flat_ladder(R: RevolvedCurrent, circle, radii) -> list:
-    """The flat decomposition of each rung, in the order of ``radii``.
-
-    HiGHS releases the interpreter lock while it solves, so the rungs run on
-    a thread pool; an exception raised in a rung is raised here.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+    """The flat decomposition of each rung, in the order of ``radii``."""
     from .fixtures import grid_square_complex, rasterize_polyline
     from .flatnorm import flat_norm_modp
 
@@ -542,5 +527,4 @@ def _flat_ladder(R: RevolvedCurrent, circle, radii) -> list:
                  for arc in R.generator.arcs if arc.kappa), cx.chain(1))
         return flat_norm_modp(T - S, R.p, ball)
 
-    with ThreadPoolExecutor(max_workers=min(len(radii), _usable_cpus())) as pool:
-        return list(pool.map(rung, radii))
+    return [rung(r) for r in radii]

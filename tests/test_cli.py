@@ -43,6 +43,42 @@ def test_flat_norm_with_oracle(tmp_path):
     assert out["oracle_value"] == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("region,value", [({"1": [0, 1, 2], "2": [0]}, 0.5),
+                                          ({"0": [], "1": [], "2": []}, 0.0)])
+def test_flat_norm_with_a_region(tmp_path, region, value):
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    (tmp_path / "region.json").write_text(json.dumps(region))
+    res = run(["flat-norm", "--complex", "triangle-complex.json",
+               "--chain", "triangle-boundary.json", "--p", "3", "--region", "region.json",
+               "--oracle"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["value"] == pytest.approx(value, abs=1e-9)
+    assert out["oracle_value"] == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("region", [{"1": [0, 1, 99]}, {"1": [-1], "2": [0]}, [0, 1],
+                                    {"1": 5}, {"1": [0.5]}, {"1": ["0"]}, {"x": [0]}])
+def test_flat_norm_rejects_a_bad_region(tmp_path, region):
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    (tmp_path / "region.json").write_text(json.dumps(region))
+    res = run(["flat-norm", "--complex", "triangle-complex.json",
+               "--chain", "triangle-boundary.json", "--p", "2", "--region", "region.json",
+               "--oracle"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("bound", ["-1", "1.5"])
+def test_flat_norm_rejects_a_bad_oracle_bound(tmp_path, bound):
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    res = run(["flat-norm", "--complex", "triangle-complex.json",
+               "--chain", "triangle-boundary.json", "--p", "3", "--oracle",
+               f"--bound={bound}"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "bound" in res.stderr and res.stdout == ""
+
+
 def test_flat_norm_rejects_complex_with_missing_face(tmp_path):
     # the triangle (0, 1, 2) lacks its edge (0, 2)
     cx = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],

@@ -375,7 +375,7 @@ def test_second_program_reaches_the_middle_of_a_wide_filling(width, p):
     assert dec.R.is_zero() and modp.boundary(dec.Z) + p * dec.P == t
 
 
-def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):
+def _open_book_with_a_strip():
     # an open book: two thin pages A and B and a tall page C on the spine
     # (0, 1), which T does not touch; C's other edges have no second coface,
     # so C is sealed, but the optimum fills A and B across the spine.  A
@@ -394,6 +394,11 @@ def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):
     W = {1: {i for i, e in enumerate(edges) if e not in open_edges}, 2: set(range(len(tris)))}
     t = modp.boundary(modp.IntegerChain(cx, 2, {0: 1, 1: 1}))
     assert t.vector[edges.index((0, 1))] == 0
+    return t, W
+
+
+def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):
+    t, W = _open_book_with_a_strip()
     programs = []
     solve = flatnorm._solve_milp
     monkeypatch.setattr(flatnorm, "_solve_milp", lambda *a: programs.append(a) or solve(*a))
@@ -402,6 +407,60 @@ def test_a_heavy_face_with_three_cofaces_passes_no_seal_on(monkeypatch):
     assert dec.value == pytest.approx(0.02, abs=1e-12)
     assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, 3, 1, W), abs=1e-12)
     assert dec.Z.coeffs == {0: 1, 1: 1} and dec.R.is_zero()
+
+
+def test_second_program_without_incumbent_returns_the_first_unproven(monkeypatch):
+    # the second program stops with no incumbent: the first program's
+    # witness comes back, with its own value and an infinite gap
+    t, W = _open_book_with_a_strip()
+    programs, made = [], []
+    solve, decomposition = flatnorm._solve_milp, flatnorm.FlatDecomposition
+
+    def first_only(*a):
+        programs.append(a)
+        if len(programs) == 2:
+            raise RuntimeError("MILP failed: Time limit reached")
+        return solve(*a)
+
+    monkeypatch.setattr(flatnorm, "_solve_milp", first_only)
+    monkeypatch.setattr(flatnorm, "FlatDecomposition",
+                        lambda *a, **kw: made.append(decomposition(*a, **kw)) or made[-1])
+    dec = modp.flat_norm_modp(t, 3, W)
+    assert len(programs) == 2 and len(made) == 1 and dec is made[0]
+    assert dec.R + modp.boundary(dec.Z) + 3 * dec.P == t
+    assert dec.value == modp.mass_in_region(dec.R, W) + modp.mass_in_region(dec.Z, W)
+    assert dec.optimality_gap == math.inf
+
+
+def test_region_indices_out_of_range_are_rejected(triangle):
+    # a region names simplices as a chain does: no index past the end and
+    # none below 0, which numpy would read from the end
+    cx, t = triangle
+    with pytest.raises(ValueError, match="out of range in degree 1"):
+        modp.flat_norm_modp(t, 3, {1: [0, 1, 99]})
+    negative = {1: [-1], 2: [0]}
+    for call in (lambda: modp.flat_norm_modp(t, 2, negative),
+                 lambda: modp.brute_force_flat_oracle(t, 2, 1, negative),
+                 lambda: modp.mass_in_region(t, {1: [-1]}),
+                 lambda: modp.restrict_to_region(t, {1: [3]})):
+        with pytest.raises(ValueError, match="out of range in degree 1"):
+            call()
+    with pytest.raises(ValueError, match="out of range in degree 2"):
+        modp.flat_norm_modp(t, 2, {1: [0], 2: [1]})
+    assert modp.mass_in_region(t, {1: [0, 1, 2]}) == pytest.approx(modp.mass(t))
+
+
+@pytest.mark.parametrize("bound", [-1, 1.0, 2.5, "3", None])
+def test_oracle_bound_must_be_a_nonnegative_integer(triangle, bound):
+    cx, t = triangle
+    with pytest.raises(ValueError, match="bound"):
+        modp.brute_force_flat_oracle(t, 3, bound)
+
+
+def test_oracle_takes_a_zero_or_numpy_integer_bound(triangle):
+    cx, t = triangle
+    assert modp.brute_force_flat_oracle(t, 3, 0) == pytest.approx(modp.mass(t))
+    assert modp.brute_force_flat_oracle(t, 3, np.int64(1)) == pytest.approx(0.5)
 
 
 def test_light_faces_where_t_vanishes_seal_nothing():

@@ -331,7 +331,7 @@ def test_rasterized_ray_is_stable_under_round_off():
 
 
 def test_concurrent_flat_ladder_equals_sequential_rungs(taylor_p3):
-    # a one-rung ladder runs its single flat norm alone on one worker
+    # a rung's values do not depend on the other rungs of its ladder
     c = taylor_p3.singular_circles[0]
     q = (c["x"], 0.0, c["y"])
     radii = [0.2, 0.1, 0.05, 0.025]
@@ -340,6 +340,18 @@ def test_concurrent_flat_ladder_equals_sequential_rungs(taylor_p3):
     assert [row["flat_distance"] for row in ladder] == \
         [row["flat_distance"] for row in alone]
     assert [row["flat_gap"] for row in ladder] == [row["flat_gap"] for row in alone]
+
+
+def test_flat_ladder_starts_no_thread(taylor_p3, monkeypatch):
+    import threading
+
+    def start(self):
+        raise AssertionError("the flat ladder started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    c = taylor_p3.singular_circles[0]
+    rows = modp.decay_scan(taylor_p3, (c["x"], 0.0, c["y"]), [0.1, 0.05])
+    assert all(row["flat_distance"] > 0 for row in rows)
 
 
 def test_decay_scan_raises_what_a_rung_raises(taylor_p3, monkeypatch):

@@ -58,6 +58,8 @@ def cmd_flat_norm(args) -> int:
     cx = SimplicialComplex.from_json(_load_json(args.complex))
     T = IntegerChain.from_json(cx, _load_json(args.chain))
     region = _region_from_json(_load_json(args.region)) if args.region else None
+    # the oracle checks its bound and size before any program is solved
+    oracle = brute_force_flat_oracle(T, args.p, args.bound, region) if args.oracle else None
     dec = flat_norm_modp(T, args.p, region)
     payload = {"value": dec.value, "gap": dec.optimality_gap, "nodes": dec.nodes,
                "witness": {"R": dec.R.to_json(),
@@ -65,7 +67,7 @@ def cmd_flat_norm(args) -> int:
                            "P": dec.P.to_json()},
                "meta": _meta(args)}
     if args.oracle:
-        payload["oracle_value"] = brute_force_flat_oracle(T, args.p, args.bound, region)
+        payload["oracle_value"] = oracle
     _emit(payload, args.out)
     return 0
 

@@ -181,11 +181,14 @@ _TIE_BAND = 1e-9
 def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> IntegerChain:
     """Snap a polyline onto the 1-skeleton of a grid_square_complex.
 
-    Points are clamped to the square, snapped to nearest lattice vertices,
-    and consecutive snapped vertices are joined by axis/diagonal edge walks.
-    Half-lattice ties round up, and so does a coordinate up to
-    ``_TIE_BAND`` lattice units below one, so round-off at a tie cannot
-    move an edge.  Returns the 1-chain of the walk (edges oriented along it).
+    Points resampled at spacing / 3 are clamped to the square and snapped to
+    nearest lattice vertices, at most one lattice step apart per axis.  A
+    step along (1, 1) or (-1, -1) is a diagonal edge, one along (1, -1) or
+    (-1, 1) turns at the vertex one step along the first axis, and an axis
+    step is one edge.  Half-lattice ties round up, and so does a coordinate
+    up to ``_TIE_BAND`` lattice units below one, so round-off at a tie
+    cannot move an edge.  Returns the 1-chain of the walk (edges oriented
+    along it).
     """
     from .taylor import _resample
 
@@ -195,13 +198,14 @@ def rasterize_polyline(cx: SimplicialComplex, spacing: float, polyline) -> Integ
     lattice = np.floor((dense + 1.0) / spacing + 0.5 + _TIE_BAND).astype(int)
     lattice = np.clip(lattice, 0, n)
 
-    walk = [lattice[0]]
-    for nxt in lattice[1:]:
-        while not np.array_equal(walk[-1], nxt):
-            di, dj = np.sign(nxt - walk[-1])
-            # a diagonal edge exists only along (1, 1)
-            walk.append(walk[-1] + ((di, dj) if di == dj else (di, 0) if di else (0, dj)))
-    ids = np.array(walk) @ [n + 1, 1]
+    step = np.diff(lattice, axis=0)
+    turn = step[:, 0] * step[:, 1] < 0
+    walk = np.empty((2 * len(lattice) - 1, 2), dtype=lattice.dtype)
+    walk[0::2] = lattice
+    walk[1::2] = lattice[1:]
+    walk[1::2][turn, 1] = lattice[:-1][turn, 1]  # the corner of a turn
+    walk = walk[np.r_[True, (np.diff(walk, axis=0) != 0).any(axis=1)]]  # repeats dropped
+    ids = walk @ [n + 1, 1]
     return cx.chain_from_simplices(1, np.c_[ids[:-1], ids[1:]])
 
 

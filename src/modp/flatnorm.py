@@ -53,6 +53,8 @@ def _region_indices(W: Region, complex: SimplicialComplex, degree: int) -> np.nd
     n = complex.n_simplices(degree)
     if W is None:
         return np.arange(n)
+    if not all(isinstance(d, (int, np.integer)) and 0 <= d <= complex.dim for d in W):
+        raise ValueError(f"region degrees {list(W)} are not all in 0..{complex.dim}")
     index = np.unique(np.fromiter(W.get(degree, ()), dtype=np.int64))
     if len(index) and not 0 <= index[0] <= index[-1] < n:
         raise ValueError(f"simplex index out of range in degree {degree}")
@@ -74,7 +76,8 @@ def mass_in_region(c: IntegerChain, W: Region) -> float:
 
 @dataclass
 class FlatDecomposition:
-    """Witness for the flat norm: T = R + boundary(Z) + p*P, value = |R|(W)+|Z|(W)."""
+    """Witness for the flat norm: T = R + boundary(Z) + p*P, value = |R|(W)+|Z|(W),
+    R = rep(T - boundary(Z)) in (-p/2, p/2] on W's k-faces and T - boundary(Z) off them."""
 
     R: IntegerChain
     Z: Optional[IntegerChain]
@@ -93,18 +96,6 @@ class PlateauSolution:
     boundary_class: ModPClass
     optimality_gap: float
     nodes: int = 0
-
-
-def _exact_value(T, z_chain, pi_chain, p, W):
-    """Objective recomputed from the integer witness; also returns R."""
-    R = T
-    if z_chain is not None:
-        R = R - boundary(z_chain)
-    R = R - p * pi_chain
-    val = mass_in_region(R, W)
-    if z_chain is not None:
-        val += mass_in_region(z_chain, W)
-    return val, R
 
 
 def _solve_milp(c, A, lo, hi, lb, ub, integrality, time_limit):
@@ -150,21 +141,21 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     """Minimize mass(R)+mass(Z) over W subject to T = R + boundary(Z) + p*P.
 
     Z ranges over integer (k+1)-chains, P over integer k-chains; R and Z
-    are priced by volume in W and at 0 outside it.  When p <= 5 and each
-    row of the program (a k-face of W) has at most two of its columns (the
-    kept (k+1)-simplices) as cofaces, ``_labelling_program`` solves it with
-    B the boundary block, R = rep(T - boundary(Z)) on its rows and P what is
-    left over: one LP, proven by itself when its labels come out integral,
-    and otherwise a second solve with integral labels.  Any other program
-    goes to ``_modp_program``, with x = (R, Z), A = [I | boundary] and
-    rhs = T, so that P = -y; its box |R_e|, |z_f| <= floor(p/2) and its
-    bound on P are proved there.  Either is solved by HiGHS with a zero
-    relative gap within ``time_limit`` seconds (>= 0, inf for none).  If the
-    time limit stops it with an incumbent, that incumbent is returned with
-    the unclosed gap in ``optimality_gap``; with no incumbent a
-    ``RuntimeError`` is raised.  ``nodes`` counts each labelling LP as one
-    node.  A chain that vanishes mod p on W has value 0 with Z = 0 and
-    P = T / p on W, and no program.
+    are priced by volume in W and at 0 outside it.  Z is the only unknown;
+    with rest = T - boundary(Z), every path returns R = rep(rest) in
+    (-p/2, p/2] on W's k-faces, R = rest off them and P = (rest - R) / p.
+    When p <= 5 and each row of the program (a k-face of W) has at most two
+    of its columns (the kept (k+1)-simplices) as cofaces,
+    ``_labelling_program`` finds Z: one LP, proven by itself when its labels
+    come out integral, and otherwise a second solve with integral labels.
+    Any other program goes to ``_modp_program``, with x = (R, Z),
+    A = [I | boundary] and rhs = T; its box |R_e|, |z_f| <= floor(p/2) is
+    proved there.  Either is solved by HiGHS with a zero relative gap within
+    ``time_limit`` seconds (>= 0, inf for none).  If the time limit stops it
+    with an incumbent, that incumbent is returned with the unclosed gap in
+    ``optimality_gap``; with no incumbent a ``RuntimeError`` is raised.
+    ``nodes`` counts each labelling LP as one node.  A chain that vanishes
+    mod p on W has value 0 with Z = 0, and no program.
 
     The program is localized to the chain (``_reach``).  Join two
     (k+1)-simplices when they share a k-face in W, and call a k-face of W
@@ -183,7 +174,7 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     half of the columns, that program is solved first, and then the one its
     value allows, less what the closure of the rest and the sealed cofaces
     across the two-coface heavy faces reaches, unless that lies inside the
-    first or is over half of the columns (then all are used).
+    first.
     Both solves share ``time_limit``.  The gap reported is that of the last
     solve, which holds an optimum; if that solve finds no incumbent, the
     first witness is returned with an infinite gap.
@@ -196,21 +187,25 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     k = T.degree
     has_z = k + 1 <= cx.dim
     nz = cx.n_simplices(k + 1) if has_z else 0
-    npi = cx.n_simplices(k)
     t = T.vector
     wr = _region_indices(W, cx, k)
-    P = np.zeros(npi, dtype=np.int64)
+
+    def witness(z, **found):  # the decomposition that this Z fixes
+        Z = IntegerChain(cx, k + 1, z) if has_z else None
+        rest = (T - boundary(Z)).vector if has_z else t
+        r = rest.copy()
+        r[wr] = representative_modp(rest[wr], p)
+        R = IntegerChain(cx, k, r)
+        value = mass_in_region(R, W) + (mass_in_region(Z, W) if has_z else 0.0)
+        return FlatDecomposition(R, Z, IntegerChain(cx, k, (rest - r) // p), value, W, **found)
+
     seed = t[wr] % p != 0
     if not seed.any():
-        P[wr] = t[wr] // p
-        pic = IntegerChain(cx, k, P)
-        return FlatDecomposition(T - p * pic, cx.chain(k + 1) if has_z else None, pic, 0.0, W)
-    P[wr] = np.round(t[wr] / p)  # kept by each face that the program leaves out
+        return witness(np.zeros(nz, dtype=np.int64))
 
     deadline = time.monotonic() + time_limit
-    t_dense = t.astype(float)
     B = (cx.incidence[k + 1].tocsr().astype(float) if has_z
-         else sparse.csr_matrix((npi, 0)))
+         else sparse.csr_matrix((len(t), 0)))
     vol_z = cx.volumes[k + 1] if has_z else np.zeros(0)
     in_wz = np.zeros(nz, dtype=bool)
     if has_z:
@@ -221,13 +216,11 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     vmin = vol_z[in_wz].min() if in_wz.any() else math.inf
 
     def solve(cols, limit):
-        """The decomposition that solves the program with z on ``cols`` and
-        0 elsewhere, and R on the faces in W of those columns."""
+        """The witness of the program with z on ``cols`` and 0 elsewhere."""
         mask = np.zeros(nz)
         mask[cols] = 1.0
         rows = wr[join @ mask > 0]
         z = np.zeros(nz, dtype=np.int64)
-        pi = P.copy()
         nodes, gap = 0, 0.0
         if len(cols):
             Bw = B[rows][:, cols]
@@ -237,20 +230,13 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
             # p >= 7 the boxed program was faster on every flat norm timed
             if p <= 5 and np.diff(Bw.indptr).max(initial=0) <= 2:
                 z[cols], nodes, gap = _labelling_program(Bw, t[rows], cost_r, cost_z, p, limit)
-                rest = t[rows] - np.rint(Bw @ z[cols]).astype(np.int64)
-                pi[rows] = (rest - representative_modp(rest, p)) // p
             else:
-                # T - R - boundary(Z) = 0 mod p, with x = (R, Z) and P = -y
+                # T - R - boundary(Z) = 0 mod p, with x = (R, Z)
                 A = sparse.hstack([sparse.eye(len(rows)), Bw])
-                x, y, nodes, gap = _modp_program(A, t_dense[rows],
+                x, _, nodes, gap = _modp_program(A, t[rows].astype(float),
                                                  np.concatenate([cost_r, cost_z]), p, limit)
                 z[cols] = x[len(rows):]
-                pi[rows] = -y
-        zc = IntegerChain(cx, k + 1, z) if has_z else None
-        pic = IntegerChain(cx, k, pi)
-        val, R = _exact_value(T, zc, pic, p, W)
-        return FlatDecomposition(R, zc, pic, val, W, nodes=nodes, optimality_gap=gap,
-                                 columns=len(cols))
+        return witness(z, nodes=nodes, optimality_gap=gap, columns=len(cols))
 
     start = np.zeros(nz, dtype=bool)
     start[join[seed].indices] = True  # the seeds' cofaces
@@ -262,9 +248,8 @@ def flat_norm_modp(T: IntegerChain, p: int, W: Region = None,
     allowed &= ~_sealed(join, ~seed & (cx.volumes[k][wr] > first.value), ~allowed)
     if not (allowed & ~near).any():
         return first
-    cols = np.flatnonzero(allowed) if 2 * allowed.sum() <= len(columns) else columns
     try:
-        last = solve(cols, max(deadline - time.monotonic(), 0.0))
+        last = solve(np.flatnonzero(allowed), max(deadline - time.monotonic(), 0.0))
     except RuntimeError:  # no incumbent in the time left: the first, unproven
         first.optimality_gap = math.inf
         return first
@@ -658,6 +643,7 @@ def brute_force_flat_oracle(T: IntegerChain, p: int, bound: int, W: Region = Non
     """
     from operator import index
 
+    check_modulus(p)
     try:
         bound = index(bound)
     except TypeError:

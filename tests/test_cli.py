@@ -69,6 +69,31 @@ def test_flat_norm_rejects_a_bad_region(tmp_path, region):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_flat_norm_rejects_a_region_degree_the_complex_lacks(tmp_path, oracle):
+    assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0
+    (tmp_path / "region.json").write_text(json.dumps({"5": [0], "-1": [3]}))
+    res = run(["flat-norm", "--complex", "triangle-complex.json",
+               "--chain", "triangle-boundary.json", "--p", "3", "--region", "region.json",
+               *oracle], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "region degree" in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("bad", [["--p", "3", "--bound=-1"], ["--p", "0"]])
+def test_flat_norm_checks_the_oracle_before_any_program(tmp_path, monkeypatch, bad):
+    from modp import cli, fixtures, flatnorm
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("flat_norm_modp was called")
+
+    fixtures.make_fixture("triangle-complex", str(tmp_path))
+    monkeypatch.setattr(flatnorm, "flat_norm_modp", no_solve)
+    assert cli.main(["flat-norm", "--complex", str(tmp_path / "triangle-complex.json"),
+                     "--chain", str(tmp_path / "triangle-boundary.json"), "--oracle",
+                     *bad]) == 2
+
+
 @pytest.mark.parametrize("bound", ["-1", "1.5"])
 def test_flat_norm_rejects_a_bad_oracle_bound(tmp_path, bound):
     assert run(["make-fixture", "triangle-complex"], tmp_path).returncode == 0

@@ -484,20 +484,72 @@ def test_light_faces_where_t_vanishes_seal_nothing():
         assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
 
 
+# regions of strip_complex(4), two of them with an empty W_{k+1}
+_STRIP_REGIONS = [{1: {0, 1, 2, 3, 4, 5}, 2: {0, 1}}, {1: {2, 3, 4, 5, 6}, 2: {1, 2, 3}},
+                  {1: set(range(9)), 2: set()}, {1: {0, 3, 4, 6, 7}, 2: set()}]
+
+
 def test_localized_program_matches_brute_oracle_with_regions():
     # on the strip the neighbourhood of a chain in a region, and one that
     # no coface of W costs anything to cross (an empty W_{k+1})
     cx = fixtures.strip_complex(4)
     rng = np.random.default_rng(77)
-    regions = [{1: {0, 1, 2, 3, 4, 5}, 2: {0, 1}}, {1: {2, 3, 4, 5, 6}, 2: {1, 2, 3}},
-               {1: set(range(9)), 2: set()}, {1: {0, 3, 4, 6, 7}, 2: set()}]
     for i in range(24):
         p = (2, 3, 5)[i % 3]
-        W = regions[i % 4]
+        W = _STRIP_REGIONS[i % 4]
         t = random_chain(rng, cx, 1, lo=-2, hi=2, density=0.4)
         dec = modp.flat_norm_modp(t, p, W)
         assert dec.value == pytest.approx(modp.brute_force_flat_oracle(t, p, 3, W), abs=1e-8)
         assert dec.R + modp.boundary(dec.Z) + p * dec.P == t
+
+
+def _witness_inputs():
+    # labelling programs (p = 2, 3, 5) and boxed ones (p = 7) on a long
+    # strip; a heavy face with three cofaces; regions that leave faces out;
+    # and two p = 2 chains with a seed face that has no coface at all
+    cx = fixtures.strip_complex(32)
+    rng = np.random.default_rng(35)
+    for p in (2, 3, 5, 7):
+        for _ in range(3):
+            yield random_chain(rng, cx, 1, lo=-2, hi=2), p, None
+    t, W = _open_book_with_a_strip()
+    yield t, 3, W
+    cx = fixtures.strip_complex(4)
+    for i, W in enumerate(_STRIP_REGIONS):
+        yield random_chain(rng, cx, 1, lo=-3, hi=3), (2, 3, 5)[i % 3], W
+    line = modp.SimplicialComplex([[0.0], [1.0], [3.0]], {1: [(0, 1), (1, 2)]})
+    yield modp.IntegerChain(line, 1, {0: -1, 1: 3}), 2, None
+    cx = modp.SimplicialComplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]],
+                                {1: [(0, 1), (1, 2), (2, 0), (1, 3)], 2: [(0, 1, 2)]})
+    yield modp.IntegerChain(cx, 1, {0: 1, 1: 1, 3: -1}), 2, None
+
+
+def test_witness_is_the_representative_of_what_z_leaves():
+    # one rule on every path: R = rep(T - boundary(Z)) in (-p/2, p/2] on
+    # W's k-faces, R = T - boundary(Z) off them, and P what is left over
+    for t, p, W in _witness_inputs():
+        dec = modp.flat_norm_modp(t, p, W)
+        rest = (t - modp.boundary(dec.Z) if dec.Z is not None else t).to_dense()
+        inside = np.zeros(len(rest), dtype=bool)
+        inside[list(W[t.degree]) if W else slice(None)] = True
+        R = dec.R.to_dense()
+        assert np.array_equal(R[inside], modp.representative_modp(rest[inside], p))
+        assert np.array_equal(R[~inside], rest[~inside])
+        assert np.array_equal(R + p * dec.P.to_dense(), rest)
+        z_mass = modp.mass_in_region(dec.Z, W) if dec.Z is not None else 0.0
+        assert dec.value == modp.mass_in_region(dec.R, W) + z_mass
+
+
+def test_region_degrees_the_complex_lacks_are_rejected(triangle):
+    # a region names degrees of the complex, 0 to its dimension
+    cx, t = triangle
+    for W in ({5: [0]}, {-1: [3]}, {5: [0], -1: [3]}, {"1": [0]}, {1.0: [0]}):
+        for call in (lambda: modp.flat_norm_modp(t, 3, W),
+                     lambda: modp.mass_in_region(t, W),
+                     lambda: modp.brute_force_flat_oracle(t, 3, 1, W)):
+            with pytest.raises(ValueError, match="region degree"):
+                call()
+    assert modp.mass_in_region(t, {0: [0], 1: [0], 2: [0]}) == pytest.approx(1.0)
 
 
 def _labelled_value(B, t, row_cost, col_cost, p, z):

@@ -330,6 +330,43 @@ def test_rasterized_ray_is_stable_under_round_off():
             assert fixtures.rasterize_polyline(cx, spacing, ray(theta + turn)) == chain
 
 
+def _walked_polyline(cx, spacing, polyline):
+    # the rasterizer as a walk: from each snapped sample, step towards the
+    # next one, diagonally only along (1, 1), until it is reached; also
+    # returns the snapped samples
+    n = int(round(2.0 / spacing))
+    dense = np.clip(modp.taylor._resample(np.asarray(polyline, dtype=float), spacing / 3),
+                    -1.0, 1.0)
+    lattice = np.clip(np.floor((dense + 1.0) / spacing + 0.5 + fixtures._TIE_BAND).astype(int),
+                      0, n)
+    walk = [lattice[0]]
+    for nxt in lattice[1:]:
+        while not np.array_equal(walk[-1], nxt):
+            di, dj = np.sign(nxt - walk[-1])
+            walk.append(walk[-1] + ((di, dj) if di == dj else (di, 0) if di else (0, dj)))
+    ids = np.array(walk) @ [n + 1, 1]
+    return cx.chain_from_simplices(1, np.c_[ids[:-1], ids[1:]]), lattice
+
+
+def test_rasterizer_matches_the_walk(taylor_p3):
+    # the ladder's arcs at five radii, its tangent rays, and seeded random
+    # polylines, some of them short, on coarse and fine grids
+    c = taylor_p3.singular_circles[0]
+    junction = np.array([c["x"], c["y"]])
+    polylines = [(arc.polyline - junction) / r for r in (0.2, 0.1, 0.05, 0.025, 0.0125)
+                 for arc in taylor_p3.generator.arcs if arc.kappa]
+    polylines += [np.vstack([np.zeros(2), 2.0 * np.asarray(tau)]) for tau in c["tangents"]]
+    rng = np.random.default_rng(35)
+    polylines += [rng.uniform(-1.3, 1.3, (int(rng.integers(1, 8)), 2)) * rng.uniform(0.02, 1.0)
+                  for _ in range(60)]
+    for n in (8, 32, 64):
+        cx, spacing = fixtures.grid_square_complex(n)
+        for poly in polylines:
+            walked, lattice = _walked_polyline(cx, spacing, poly)
+            assert np.abs(np.diff(lattice, axis=0)).max(initial=0) <= 1
+            assert fixtures.rasterize_polyline(cx, spacing, poly) == walked
+
+
 def test_concurrent_flat_ladder_equals_sequential_rungs(taylor_p3):
     # a rung's values do not depend on the other rungs of its ladder
     c = taylor_p3.singular_circles[0]
